@@ -1,21 +1,27 @@
-"""Lee and Hamming weights, the Gray map, and the minimum-distance engine.
+"""Lee and Hamming weights, the Gray map, and the minimum-distance certifier.
 
-The engine enumerates all q^{mk} - 1 nonzero messages of the free rank-k
-code (minimum distance = minimum weight by linearity) with a meet-in-the-
-middle block scheme: codewords of a message-prefix half and a suffix half
-are precomputed, and numpy evaluates whole blocks of weights at once.  An
-optional abort threshold returns early with a witness weight once the code
-is known to be uninteresting.
+The certifier (after Brouwer and Zimmermann) enumerates the codewords of
+G = (I | A) by increasing weight of their message on each information set:
+the left half, and, when A A^t = -I, also the right half, which is the
+message of the generator -A^t G = (-A^t | I).  With s such sets, once round t
+(the messages of weight exactly t) is done on sets 0..i, every codeword not
+yet seen weighs at least s t + i + 1, so the best weight found is exact once
+it is at most that bound.  An abort threshold returns the first witness
+weight below it instead.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 
 from .chainring import ChainRing
 from .circulant import CodeSpec, generator_matrix
+
+# message entries per evaluated block; bounds the work arrays (about 4 MB each)
+_BLOCK_ENTRIES = 2**19
 
 
 def lee_table(ring: ChainRing) -> np.ndarray:
@@ -47,72 +53,64 @@ def gray_image(ring: ChainRing, word) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _all_messages(mod: int, k: int) -> np.ndarray:
-    """All mod^k messages as rows, zero message first (index 0)."""
+@functools.cache
+def _count(table: tuple[int, ...], k: int, t: int) -> int:
+    """Number of length-k messages of weight exactly t."""
+    return sum(_count(table, k - 1, t - w) for w in table if w <= t) if k else int(t == 0)
+
+
+def _prepend(v: int, block: np.ndarray) -> np.ndarray:
+    return np.hstack([np.full((len(block), 1), v, dtype=np.uint8), block])
+
+
+@functools.cache
+def _layer(table: tuple[int, ...], k: int, t: int) -> np.ndarray:
+    """All length-k messages of weight exactly t, one per row (cached, read-only)."""
     if k == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    grids = np.meshgrid(*([np.arange(mod)] * k), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+        block = np.zeros((int(t == 0), 0), dtype=np.uint8)
+    else:
+        block = np.concatenate(
+            [_prepend(v, _layer(table, k - 1, t - w)) for v, w in enumerate(table) if w <= t]
+        )
+    block.flags.writeable = False
+    return block
 
 
-def _min_weight(
-    G: np.ndarray, mod: int, wtable: np.ndarray, early_abort_at: int | None
-) -> int:
-    k, n = G.shape
-    k1 = k // 2
-    k2 = k - k1
-    C1 = (_all_messages(mod, k1) @ G[:k1] % mod).astype(np.uint8)
-    C2 = (_all_messages(mod, k2) @ G[k1:] % mod).astype(np.uint8)
-    table = wtable.astype(np.uint8)
-    sentinel = int(wtable.max()) * n + 1
-    best = sentinel
-    # prefix chunks keep the 3D work arrays around 25 MB
-    chunk = max(1, 2**24 // max(1, C2.shape[0] * n))
-    for lo in range(0, C1.shape[0], chunk):
-        block = (C1[lo : lo + chunk, None, :] + C2[None, :, :]) % mod
-        w = table[block].sum(axis=2, dtype=np.int32)
-        if lo == 0:
-            w[0, 0] = sentinel  # the zero message
-        block_min = int(w.min())
-        if block_min < best:
-            best = block_min
-            if early_abort_at is not None and best < early_abort_at:
-                return best
-    return best
+def _message_blocks(table: tuple[int, ...], k: int, t: int, rows: int):
+    """The length-k messages of weight t in blocks of at most `rows` rows."""
+    count = _count(table, k, t)
+    if count <= rows:
+        if count:
+            yield _layer(table, k, t)
+        return
+    for v, w in enumerate(table):
+        if w <= t:
+            for block in _message_blocks(table, k - 1, t - w, rows):
+                yield _prepend(v, block)
 
 
-def _pack_planes(C: np.ndarray, plane: int) -> np.ndarray:
-    """Pack one bit-plane of Z4 words (rows of C) into uint64 bitmasks."""
-    bits = (C >> plane & 1).astype(np.uint64)
-    weights = (np.uint64(1) << np.arange(C.shape[1], dtype=np.uint64))
-    return (bits * weights).sum(axis=1, dtype=np.uint64)
-
-
-def _min_lee_z4(G: np.ndarray, early_abort_at: int | None) -> int:
-    """Bit-packed Z4 engine: codewords live as two uint64 bit-planes, addition
-    is xor with one carry, and Lee weight is popcount(s0) + 2 popcount(s1 & ~s0)."""
-    k, n = G.shape
-    k1 = k // 2
-    C1 = _all_messages(4, k1) @ G[:k1] % 4
-    C2 = _all_messages(4, k - k1) @ G[k1:] % 4
-    a0, a1 = _pack_planes(C1, 0), _pack_planes(C1, 1)
-    b0, b1 = _pack_planes(C2, 0), _pack_planes(C2, 1)
-    sentinel = 2 * n + 1
-    best = sentinel
-    chunk = max(1, 2**22 // max(1, len(b0)))
-    for lo in range(0, len(a0), chunk):
-        p0 = a0[lo : lo + chunk, None]
-        p1 = a1[lo : lo + chunk, None]
-        s0 = p0 ^ b0[None, :]
-        s1 = p1 ^ b1[None, :] ^ (p0 & b0[None, :])
-        w = np.bitwise_count(s0).astype(np.int32)
-        w += 2 * np.bitwise_count(s1 & ~s0).astype(np.int32)
-        if lo == 0:
-            w[0, 0] = sentinel  # the zero message
-        block_min = int(w.min())
-        if block_min < best:
-            best = block_min
-            if early_abort_at is not None and best < early_abort_at:
+def _min_weight(G: np.ndarray, mod: int, wtable: np.ndarray, early_abort_at: int | None) -> int:
+    k = G.shape[0]
+    if k < 1:
+        raise ValueError("need a positive-rank code")
+    A = G[:, k:]
+    sets = [A]  # per information set: its message times this is the other half
+    if np.array_equal(A @ A.T % mod, (mod - 1) * np.eye(k, dtype=A.dtype)):
+        sets.append(-A.T % mod)
+    sets = np.asarray(sets, dtype=np.float64)  # exact: products stay far below 2^53
+    table = tuple(int(w) for w in wtable)
+    rows = _BLOCK_ENTRIES // k
+    best = max(table) * 2 * k + 1
+    for t in range(1, max(table) * k + 1):
+        for i, B in enumerate(sets):
+            for M in _message_blocks(table, k, t, rows):
+                other = (M @ B).astype(np.intp) % mod
+                block_min = t + int(wtable[other].sum(axis=1).min())
+                if block_min < best:
+                    best = block_min
+                    if early_abort_at is not None and best < early_abort_at:
+                        return best
+            if best <= len(sets) * t + i + 1:
                 return best
     return best
 
@@ -120,18 +118,12 @@ def _min_lee_z4(G: np.ndarray, early_abort_at: int | None) -> int:
 def min_lee_distance(spec: CodeSpec, early_abort_at: int | None = None) -> int:
     """Exact minimum Lee weight of the code, or a witness weight below the
     abort threshold if one is found first."""
-    G = generator_matrix(spec)
-    if spec.ring.size == 4 and spec.n <= 64:
-        return _min_lee_z4(G, early_abort_at)
-    return _min_weight(G, spec.ring.size, lee_table(spec.ring), early_abort_at)
+    return _min_weight(generator_matrix(spec), spec.ring.size, lee_table(spec.ring), early_abort_at)
 
 
 def min_hamming_distance(spec: CodeSpec, early_abort_at: int | None = None) -> int:
-    if spec.k < 1:
-        raise ValueError("need a positive-rank code")
-    G = generator_matrix(spec)
     wtable = (np.arange(spec.ring.size) != 0).astype(np.int64)
-    return _min_weight(G, spec.ring.size, wtable, early_abort_at)
+    return _min_weight(generator_matrix(spec), spec.ring.size, wtable, early_abort_at)
 
 
 def is_doubly_even(spec: CodeSpec) -> bool:

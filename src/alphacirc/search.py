@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -198,31 +199,36 @@ def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
     return bases
 
 
-def _write_checkpoint(cfg: SearchConfig, done: int, d: int, records: list[SearchRecord]) -> None:
+def _write_checkpoint(cfg: SearchConfig, done: int, state: dict, records: list[SearchRecord]) -> None:
+    """Write atomically, so a crash mid-write leaves the previous checkpoint."""
     if cfg.checkpoint is None:
         return
-    state = {
+    saved = {
         "fingerprint": cfg.fingerprint(),
         "bases_done": done,
-        "best_d_lee": d,
+        "best_d_lee": state["d"],
+        "lifts_examined": state["lifts"],
         "records": [r.to_line() for r in records],
     }
-    with open(cfg.checkpoint, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
+    with open(cfg.checkpoint + ".tmp", "w", encoding="utf-8") as fh:
+        json.dump(saved, fh)
+    os.replace(cfg.checkpoint + ".tmp", cfg.checkpoint)
 
 
-def _read_checkpoint(cfg: SearchConfig) -> tuple[int, int, list[SearchRecord]]:
+def _read_checkpoint(cfg: SearchConfig) -> tuple[int, int, int, list[SearchRecord]]:
+    """Bases done, best d, lifts examined and records saved for this search."""
     if cfg.checkpoint is None:
-        return 0, 0, []
+        return 0, 0, 0, []
     try:
         with open(cfg.checkpoint, encoding="utf-8") as fh:
             state = json.load(fh)
     except (OSError, json.JSONDecodeError):
-        return 0, 0, []
+        return 0, 0, 0, []
     if state.get("fingerprint") != cfg.fingerprint():
-        return 0, 0, []
+        return 0, 0, 0, []
     records = [SearchRecord.from_line(line) for line in state.get("records", [])]
-    return int(state.get("bases_done", 0)), int(state.get("best_d_lee", 0)), records
+    counts = (int(state.get(key, 0)) for key in ("bases_done", "best_d_lee", "lifts_examined"))
+    return (*counts, records)
 
 
 def run_search(cfg: SearchConfig, interrupt_after: int | None = None) -> SearchResult:
@@ -231,9 +237,9 @@ def run_search(cfg: SearchConfig, interrupt_after: int | None = None) -> SearchR
     `interrupt_after` (bases) exists to exercise checkpoint/resume in tests.
     """
     bases = _sorted_bases(cfg)
-    start_at, d, all_records = _read_checkpoint(cfg)
+    start_at, d, lifts_done, all_records = _read_checkpoint(cfg)
     lock = threading.Lock()
-    state = {"d": d, "lifts": 0}
+    state = {"d": d, "lifts": lifts_done}
 
     def eval_lift(lift_spec: CodeSpec, base: CodeSpec, d_ham: int) -> None:
         with lock:
@@ -273,7 +279,7 @@ def run_search(cfg: SearchConfig, interrupt_after: int | None = None) -> SearchR
                 for lift in lifts:
                     eval_lift(lift, base, d_ham)
             done += 1
-            _write_checkpoint(cfg, done, state["d"], all_records)
+            _write_checkpoint(cfg, done, state, all_records)
             if interrupt_after is not None and done - start_at >= interrupt_after:
                 raise KeyboardInterrupt(f"interrupted after {done} bases")
     finally:
@@ -314,8 +320,9 @@ def read_records(path: str) -> list[SearchRecord]:
 
 
 def verify_record(rec: SearchRecord) -> bool:
-    """Independent re-check: self-duality, projection to the base, and both
-    recorded distances."""
+    """Re-check self-duality, the projection of the lift onto the recorded
+    base vector, and both recorded distances.  The base border is derived
+    from the lift's border, so its projection is not checked independently."""
     try:
         lifted = rec.lift_spec()
         base = rec.base_spec()

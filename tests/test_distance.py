@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,14 +7,20 @@ import helpers
 from alphacirc import (
     ChainRing,
     CodeSpec,
+    SearchConfig,
+    enumerate_base_codes,
+    generator_matrix,
     gray_image,
     hamming_weight,
     is_doubly_even,
+    is_self_dual,
     lee_weight,
     min_hamming_distance,
     min_lee_distance,
+    nested_lift,
+    run_search,
 )
-from alphacirc.distance import lee_table
+from alphacirc.distance import _message_blocks, lee_table
 
 Z2 = ChainRing(2, 1, 1)
 Z4 = ChainRing(2, 2, 3)
@@ -97,18 +104,17 @@ class TestMinDistance:
             assert min_hamming_distance(spec) == helpers.naive_min_weight(spec, "hamming"), spec
 
     def test_bitpacked_and_generic_agree(self):
-        # force the generic path by comparing against the naive oracle on Z4
+        # the bit-packed Z4 oracle, the generic uint8 oracle and the certifier
         rng = random.Random(2)
-        from alphacirc.distance import _min_weight, lee_table as lt
-        from alphacirc import generator_matrix
-
         for _ in range(100):
             k = rng.randrange(1, 5)
             spec = CodeSpec(
                 "double", Z4, k, 3, tuple(rng.randrange(4) for _ in range(k))
             )
             G = generator_matrix(spec)
-            assert min_lee_distance(spec) == _min_weight(G, 4, lt(Z4), None)
+            generic = helpers.mitm_min_weight(G, 4, lee_table(Z4))
+            assert helpers.mitm_min_lee_z4(G) == generic
+            assert min_lee_distance(spec) == generic
 
     def test_early_abort_returns_witness(self):
         rng = random.Random(3)
@@ -130,6 +136,86 @@ class TestMinDistance:
             assert min_lee_distance(spec) <= (spec.ring.size // 2) * min_hamming_distance(spec)
 
 
+def assert_certifier_matches(certify, oracle, spec):
+    """The certifier equals the oracle exactly and with the abort threshold at
+    d and d + 1.  At d nothing lies below the threshold, so the oracle's
+    answer there is its exact value and is not recomputed."""
+    d = oracle()
+    assert certify(spec) == d, spec
+    assert certify(spec, early_abort_at=d) == d, spec
+    assert certify(spec, early_abort_at=d + 1) == oracle(d + 1) == d, spec
+
+
+def search_lifts(ring, n, family):
+    """The search's configuration, its base codes and all their lifts."""
+    config = SearchConfig(ring=ChainRing.from_name(ring), n=n, family=family)
+    bases = enumerate_base_codes(config)
+    lifts = [lift for base in bases for lift in nested_lift(base, config.target_ring())]
+    return config, bases, lifts
+
+
+class TestCertifierAtProductionSize:
+    """The information-set certifier against the exhaustive oracles on the
+    codes the searches actually evaluate."""
+
+    def test_z4_n24_double_nega(self):
+        config, bases, lifts = search_lifts("z4", 24, "double-nega")
+        winners = [rec.lift_spec() for rec in run_search(config).records]
+        others = [lift for lift in lifts[::28] if lift not in winners]
+        assert len(winners) == 8 and len(others) >= 24
+        for spec in winners + others:
+            G = generator_matrix(spec)
+            oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
+            assert_certifier_matches(min_lee_distance, oracle, spec)
+        assert {min_lee_distance(spec) for spec in winners} == {12}
+        for base in bases:
+            G = generator_matrix(base)
+            nonzero = lee_table(base.ring) != 0
+            oracle = lambda abort=None: helpers.mitm_min_weight(G, 2, nonzero, abort)
+            assert_certifier_matches(min_hamming_distance, oracle, base)
+
+    @pytest.mark.parametrize("ring,n,step", [("z9", 12, 4), ("z8", 8, 1)])
+    @pytest.mark.parametrize("family", ["double-nega", "bordered-circ"])
+    def test_generic_rings(self, ring, n, step, family):
+        config, bases, lifts = search_lifts(ring, n, family)
+        for spec in lifts[::step]:
+            G = generator_matrix(spec)
+            table = lee_table(spec.ring)
+            oracle = lambda abort=None: helpers.mitm_min_weight(G, spec.ring.size, table, abort)
+            assert_certifier_matches(min_lee_distance, oracle, spec)
+        for base in bases:
+            G = generator_matrix(base)
+            nonzero = lee_table(base.ring) != 0
+            oracle = lambda abort=None: helpers.mitm_min_weight(G, base.ring.p, nonzero, abort)
+            assert_certifier_matches(min_hamming_distance, oracle, base)
+
+    def test_one_information_set(self):
+        # a singular right half, and a [24,12] code one entry away from a
+        # self-dual winner: neither is self-orthogonal, so only the left half
+        # is an information set and the weight-t layers outgrow one block
+        singular = CodeSpec("double", Z4, 4, 3, (2, 2, 0, 0))
+        config = SearchConfig(ring=Z4, n=24, family="double-nega")
+        winner = run_search(config).records[0].lift_spec()
+        near = CodeSpec("double", Z4, 12, 3, ((winner.a[0] + 1) % 4,) + winner.a[1:])
+        for spec in (singular, near):
+            assert not is_self_dual(spec)
+            G = generator_matrix(spec)
+            oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
+            assert_certifier_matches(min_lee_distance, oracle, spec)
+
+    def test_message_blocks_cover_each_layer_once(self):
+        table = tuple(lee_table(Z9).tolist())
+        for t in range(0, 4 * 4 + 1):
+            blocks = list(_message_blocks(table, 4, t, 7))
+            assert all(len(block) <= 7 for block in blocks)
+            rows = [tuple(row) for block in blocks for row in block.tolist()]
+            expected = [
+                m for m in itertools.product(range(9), repeat=4)
+                if sum(table[c] for c in m) == t
+            ]
+            assert sorted(rows) == expected
+
+
 class TestDoublyEven:
     def test_extended_hamming(self):
         assert is_doubly_even(CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0)))
@@ -146,11 +232,7 @@ class TestDoublyEven:
             is_doubly_even(CodeSpec("double", Z4, 4, 3, (1, 3, 3, 0)))
 
     def test_matches_full_enumeration(self):
-        import itertools
-
         import numpy as np
-
-        from alphacirc import generator_matrix
 
         rng = random.Random(5)
         for _ in range(60):

@@ -141,6 +141,9 @@ class TestRunSearch:
         fresh = run_search(cfg(n=16, prune=False))
         key = lambda r: (r.base, r.lift, r.border or ())
         assert sorted(map(key, resumed.records)) == sorted(map(key, fresh.records))
+        assert resumed.lifts_examined == fresh.lifts_examined
+        assert json.loads(ck.read_text())["lifts_examined"] == fresh.lifts_examined
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_checkpoint_fingerprint_mismatch_ignored(self, tmp_path):
         ck = tmp_path / "state.json"
