@@ -26,7 +26,7 @@ from .equivalence import (
     MonomialPair,
     act,
     canonical_form,
-    lyndon_words,
+    necklaces,
     s_map_pair,
     type_shift_matrix,
 )

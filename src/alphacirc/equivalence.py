@@ -1,17 +1,20 @@
-"""Monomial pairs acting on circulant generating vectors, orbit canonicalization,
-and Lyndon-word enumeration.
+"""Monomial pairs acting on circulant generating vectors, orbit canonical
+forms, and necklace enumeration.
 
 A monomial matrix is S(sigma) D with S_{ij} = [i == sigma(j)] and D an
 invertible diagonal.  Pairs (N, M) act on circulant matrices by
 A -> N^{-1} A M; the generators used here (shifts, square-one scalars and
 the substitution maps f(x) -> f((alpha x)^s)) all preserve alpha-circulant
 structure, and under the restriction to orthogonal matrices they preserve
-self-duality as well.  Canonical forms are computed by breadth-first orbit
-closure over the generator set, which is tiny at the target sizes.
+self-duality as well.  Every element of the group they generate sends a
+generating vector a to (mult_j * a_{gather_j})_j; the group is closed once
+per (ring, k, alpha, bordered) and cached, and a canonical form is the
+lexicographic minimum over the images of a under all of its elements.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator
@@ -108,20 +111,7 @@ def shift_right(a: CircVec) -> CircVec:
     return CircVec(a.ring, a.alpha, (last,) + a.coeffs[:-1])
 
 
-def shift_left(a: CircVec) -> CircVec:
-    """Image under (T_alpha, I): multiplication by alpha^{-1} x^{k-1}."""
-    inv_alpha = a.ring.inv(a.alpha)
-    first = a.coeffs[0] * inv_alpha % a.ring.size
-    return CircVec(a.ring, a.alpha, a.coeffs[1:] + (first,))
-
-
-def scale(a: CircVec, lam: int) -> CircVec:
-    """Image under (I, lam I): scaling by the unit lam."""
-    mod = a.ring.size
-    return CircVec(a.ring, a.alpha, tuple(c * lam % mod for c in a.coeffs))
-
-
-def _check_substitution_args(a_or_ring, k: int, alpha: int, s: int, mod: int) -> None:
+def _check_substitution_args(k: int, alpha: int, s: int, mod: int) -> None:
     if gcd(s, k) != 1 or not 0 <= s < k:
         raise ValueError(f"s = {s} must be in [0, k) and coprime to k = {k}")
     # x -> (alpha x)^s respects x^k = alpha only when alpha^{s(k+1)-1} = 1
@@ -131,6 +121,11 @@ def _check_substitution_args(a_or_ring, k: int, alpha: int, s: int, mod: int) ->
         )
 
 
+def _substitution_exponents(k: int, alpha: int, mod: int) -> list[int]:
+    """The s in [1, k) whose substitution map is well defined."""
+    return [s for s in range(1, k) if gcd(s, k) == 1 and pow(alpha, s * (k + 1) - 1, mod) == 1]
+
+
 def substitute(a: CircVec, s: int) -> CircVec:
     """Closed form of the conjugation sending f(x) to f((alpha x)^s).
 
@@ -138,7 +133,7 @@ def substitute(a: CircVec, s: int) -> CircVec:
     extra factor alpha^{s*i + floor(s*i / k)}.
     """
     k, mod = a.k, a.ring.size
-    _check_substitution_args(a, k, a.alpha, s, mod)
+    _check_substitution_args(k, a.alpha, s, mod)
     out = [0] * k
     for i, ai in enumerate(a.coeffs):
         out[s * i % k] = ai * pow(a.alpha, s * i + s * i // k, mod) % mod
@@ -155,7 +150,7 @@ def s_map_pair(ring: ChainRing, k: int, alpha: int, s: int) -> MonomialPair:
     """
     if alpha * alpha % ring.size != 1:
         raise ChainRingError(f"alpha = {alpha} must square to 1")
-    _check_substitution_args(ring, k, alpha, s, ring.size)
+    _check_substitution_args(k, alpha, s, ring.size)
     s_inv = pow(s, -1, k) if k > 1 else 0
     sigma = tuple(s_inv * i % k for i in range(k))
     diag = tuple(
@@ -211,26 +206,8 @@ def _monomial_from_dense(ring: ChainRing, A: np.ndarray) -> MonomialMatrix:
     return MonomialMatrix(ring, tuple(sigma), tuple(diag))
 
 
-def orbit_generators(
-    ring: ChainRing, k: int, alpha: int
-) -> list[Callable[[CircVec], CircVec]]:
-    """Closed-form generator actions used for orbit closure.
-
-    Restricted to pairs of orthogonal monomial matrices (scalars with
-    lambda^2 = 1), so the generated subgroup preserves self-duality.
-    """
-    gens: list[Callable[[CircVec], CircVec]] = [shift_right, shift_left]
-    for lam in ring.square_roots_of_one():
-        if lam != 1:
-            gens.append(lambda a, lam=lam: scale(a, lam))
-    for s in range(1, k):
-        if gcd(s, k) == 1 and pow(alpha, s * (k + 1) - 1, ring.size) == 1:
-            gens.append(lambda a, s=s: substitute(a, s))
-    return gens
-
-
 def generator_pairs(ring: ChainRing, k: int, alpha: int) -> list[tuple[str, MonomialPair]]:
-    """The same generator set as explicit monomial pairs, for oracle checks."""
+    """The group's generators as explicit monomial pairs, for oracle checks."""
     pairs = [
         ("shift_right", shift_pair_right(ring, k, alpha)),
         ("shift_left", shift_pair_left(ring, k, alpha)),
@@ -238,104 +215,110 @@ def generator_pairs(ring: ChainRing, k: int, alpha: int) -> list[tuple[str, Mono
     for lam in ring.square_roots_of_one():
         if lam != 1:
             pairs.append((f"scale_{lam}", scalar_pair(ring, k, lam)))
-    for s in range(1, k):
-        if gcd(s, k) == 1 and pow(alpha, s * (k + 1) - 1, ring.size) == 1:
-            pairs.append((f"s_map_{s}", s_map_pair(ring, k, alpha, s)))
+    for s in _substitution_exponents(k, alpha, ring.size):
+        pairs.append((f"s_map_{s}", s_map_pair(ring, k, alpha, s)))
     return pairs
 
 
-def orbit(a: CircVec, gens: list[Callable[[CircVec], CircVec]] | None = None) -> set[tuple[int, ...]]:
-    """Breadth-first closure of a under the generator actions."""
-    if gens is None:
-        gens = orbit_generators(a.ring, a.k, a.alpha)
-    seen = {a.coeffs}
-    frontier = [a]
+# --- the group and canonical forms ------------------------------------------
+
+# An element is (gather, mult, border): it sends the core a to
+# (mult[j] * a[gather[j]])_j and multiplies a bordered spec's border by `border`.
+_Element = tuple[tuple[int, ...], tuple[int, ...], int]
+
+
+def _monomial(
+    f: Callable[[CircVec], CircVec], ring: ChainRing, k: int, alpha: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Gather indices and multipliers of the monomial map f, read off its
+    images of the unit vectors."""
+    gather, mult = [0] * k, [0] * k
+    for i in range(k):
+        image = f(CircVec(ring, alpha, tuple(int(j == i) for j in range(k)))).coeffs
+        j = next(j for j, c in enumerate(image) if c)
+        gather[j], mult[j] = i, image[j]
+    return tuple(gather), tuple(mult)
+
+
+def _compose(h: _Element, g: _Element, mod: int) -> _Element:
+    """The element that applies g, then h."""
+    (h_gather, h_mult, h_border), (g_gather, g_mult, g_border) = h, g
+    return (
+        tuple(g_gather[j] for j in h_gather),
+        tuple(m * g_mult[j] % mod for j, m in zip(h_gather, h_mult)),
+        h_border * g_border % mod,
+    )
+
+
+@functools.cache
+def _group(
+    ring: ChainRing, k: int, alpha: int, bordered: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every group element as rows of gather indices, multipliers and border
+    multipliers (cached, read-only).
+
+    The generators are restricted to orthogonal pairs (scalars with
+    lambda^2 = 1), so the group preserves self-duality.  Bordered groups keep
+    only the substitutions with a scalar diagonal part, which leave the border
+    vectors in place, and scale the border together with the core.
+    """
+    mod = ring.size
+    if alpha * alpha % mod != 1:
+        raise ChainRingError("canonical forms require alpha^2 = 1")
+    identity = (tuple(range(k)), (1,) * k, 1)
+    gens = [(*_monomial(shift_right, ring, k, alpha), 1)]
+    for s in _substitution_exponents(k, alpha, mod):
+        gather, mult = _monomial(lambda a, s=s: substitute(a, s), ring, k, alpha)
+        if not bordered or len(set(mult)) == 1:
+            gens.append((gather, mult, 1))
+    for lam in ring.square_roots_of_one():
+        if lam != 1:
+            gens.append((identity[0], (lam,) * k, lam if bordered else 1))
+    elements = {identity}
+    frontier = elements
     while frontier:
-        nxt = []
-        for v in frontier:
-            for g in gens:
-                w = g(v)
-                if w.coeffs not in seen:
-                    seen.add(w.coeffs)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
+        frontier = {_compose(h, g, mod) for g in frontier for h in gens} - elements
+        elements |= frontier
+    arrays = tuple(np.array(column) for column in zip(*elements))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def canonical_form(a: CircVec) -> CircVec:
     """Lexicographically least vector in the orbit of a (index 0 most significant)."""
-    if a.alpha * a.alpha % a.ring.size != 1:
-        raise ChainRingError("canonical forms require alpha^2 = 1")
-    return CircVec(a.ring, a.alpha, min(orbit(a)))
+    gather, mult, _ = _group(a.ring, a.k, a.alpha, False)
+    images = mult * np.array(a.coeffs)[gather] % a.ring.size
+    return CircVec(a.ring, a.alpha, tuple(min(images.tolist())))
 
 
 def canonical_form_bordered(
     a: CircVec, border: tuple[int, int, int]
 ) -> tuple[tuple[int, ...], tuple[int, int, int]]:
-    """Canonical (core, border) pair for bordered specs.
-
-    Only border-preserving generators act: core shifts, substitution maps
-    whose diagonal part is scalar, and simultaneous scaling of core and
-    border by a square-one unit.
-    """
-    ring, k, mod = a.ring, a.k, a.ring.size
-    if a.alpha * a.alpha % mod != 1:
-        raise ChainRingError("canonical forms require alpha^2 = 1")
-    gens: list[Callable[[tuple], tuple]] = [
-        lambda st: (shift_right(CircVec(ring, a.alpha, st[0])).coeffs, st[1]),
-        lambda st: (shift_left(CircVec(ring, a.alpha, st[0])).coeffs, st[1]),
-    ]
-    for s in range(1, max(k, 2)):
-        if gcd(s, k) != 1 or pow(a.alpha, s * (k + 1) - 1, mod) != 1:
-            continue
-        if len(set(s_map_pair(ring, k, a.alpha, s).M.diag)) == 1:
-            # scalar diagonal part only, so the border vectors survive
-            gens.append(
-                lambda st, s=s: (substitute(CircVec(ring, a.alpha, st[0]), s).coeffs, st[1])
-            )
-    for lam in ring.square_roots_of_one():
-        if lam != 1:
-            gens.append(
-                lambda st, lam=lam: (
-                    tuple(c * lam % mod for c in st[0]),
-                    tuple(b * lam % mod for b in st[1]),
-                )
-            )
-    start = (a.coeffs, tuple(border))
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for st in frontier:
-            for g in gens:
-                w = g(st)
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    best = min(seen, key=lambda st: st[0] + st[1])
-    return best[0], best[1]
+    """Canonical (core, border) pair for bordered specs: the least core + border
+    over the orbit under core shifts, substitution maps whose diagonal part is
+    scalar, and simultaneous scaling of core and border by a square-one unit."""
+    gather, mult, border_mult = _group(a.ring, a.k, a.alpha, True)
+    images = np.hstack([mult * np.array(a.coeffs)[gather], np.outer(border_mult, border)])
+    best = min((images % a.ring.size).tolist())
+    return tuple(best[: a.k]), tuple(best[a.k :])
 
 
-def lyndon_words(k: int, q: int) -> Iterator[tuple[int, ...]]:
-    """Aperiodic necklace representatives of length k over {0..q-1}, in lex
-    order, followed by the constant words (which also generate circulants).
+def necklaces(k: int, q: int) -> Iterator[tuple[int, ...]]:
+    """The least rotation of every length-k word over {0..q-1}, in lex order.
 
-    Uses Duval's iteration; for k = 1 the single letters already cover the
-    constants.
+    Duval's iteration visits the Lyndon words of length at most k in lex
+    order; each one whose length divides k, repeated to length k, is a
+    necklace.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     w = [0]
     while w:
-        if len(w) == k:
-            yield tuple(w)
+        if k % len(w) == 0:
+            yield tuple(w * (k // len(w)))
         w = (w * (k // len(w) + 1))[:k]
         while w and w[-1] == q - 1:
             w.pop()
-        if not w:
-            break
-        w[-1] += 1
-    if k > 1:
-        for c in range(q):
-            yield (c,) * k
+        if w:
+            w[-1] += 1

@@ -62,10 +62,6 @@ class LiftSystem:
     q: int
     variables: tuple[VarName, ...]
 
-    @property
-    def t(self) -> int:
-        return len(self.variables)
-
 
 @dataclass(frozen=True)
 class LiftSolutionSet:

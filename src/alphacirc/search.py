@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from .chainring import ChainRing
 from .circulant import CircVec, CodeSpec, format_vector, is_self_dual, parse_vector
 from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
-from .equivalence import canonical_form, canonical_form_bordered, lyndon_words
+from .equivalence import canonical_form, canonical_form_bordered, necklaces
 from .lifting import nested_lift
 
 FAMILIES = ("double-nega", "double-circ", "bordered-circ")
@@ -153,43 +153,36 @@ class SearchResult:
 def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
     """Canonical representatives of the self-dual base codes over F_q.
 
-    Double families walk Lyndon words plus constants (periodic non-constant
-    vectors never generate invertible circulants, hence never self-dual
-    doubles); bordered families walk all core/border combinations.  Z4
-    targets additionally require the doubly-even property of the base.
+    Candidates are the necklaces (least rotations) of the circulant part,
+    crossed with every border for bordered families, which always have
+    alpha = 1.  With alpha = 1 rotation is in the group, so every orbit
+    contains a candidate.  For double-nega over F_3 rotation is not in the
+    group; there the walk is checked against every self-dual vector at small
+    n, not proven complete.  Z4 targets additionally require the doubly-even
+    property of the base.
     """
     ring = cfg.base_ring()
-    alpha = ring.alpha
-    k = cfg.k
+    alpha, k, kind = ring.alpha, cfg.k, cfg.kind
     need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2
-    reps: list[CodeSpec] = []
-    if cfg.kind == "double":
-        seen: set[tuple[int, ...]] = set()
-        for word in lyndon_words(k, ring.p):
-            spec = CodeSpec("double", ring, k, alpha, word)
-            if not is_self_dual(spec):
-                continue
-            if need_doubly_even and not is_doubly_even(spec):
-                continue
-            canon = canonical_form(CircVec(ring, alpha, word)).coeffs
-            if canon in seen:
-                continue
-            seen.add(canon)
-            reps.append(CodeSpec("double", ring, k, alpha, canon))
+    if kind == "double":
+        candidates = itertools.product(necklaces(k, ring.p), [None])
     else:
-        seen_b: set[tuple] = set()
-        for core in itertools.product(range(ring.p), repeat=k - 1):
-            for border in itertools.product(range(ring.p), repeat=3):
-                spec = CodeSpec("bordered", ring, k, alpha, core, border)
-                if not is_self_dual(spec):
-                    continue
-                if need_doubly_even and not is_doubly_even(spec):
-                    continue
-                canon = canonical_form_bordered(CircVec(ring, alpha, core), border)
-                if canon in seen_b:
-                    continue
-                seen_b.add(canon)
-                reps.append(CodeSpec("bordered", ring, k, alpha, canon[0], canon[1]))
+        borders = itertools.product(range(ring.p), repeat=3)
+        candidates = itertools.product(necklaces(k - 1, ring.p), borders)
+    seen: set[tuple] = set()
+    reps: list[CodeSpec] = []
+    for a, border in candidates:
+        spec = CodeSpec(kind, ring, k, alpha, a, border)
+        if not is_self_dual(spec) or (need_doubly_even and not is_doubly_even(spec)):
+            continue
+        v = CircVec(ring, alpha, a)
+        if border is None:
+            canon = (canonical_form(v).coeffs, None)
+        else:
+            canon = canonical_form_bordered(v, border)
+        if canon not in seen:
+            seen.add(canon)
+            reps.append(CodeSpec(kind, ring, k, alpha, *canon))
     return reps
 
 

@@ -7,10 +7,12 @@ engines or the linear-system lifting path it is used to check.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
 import numpy as np
 
-from alphacirc import ChainRing, CodeSpec, generator_matrix, is_self_dual
+from alphacirc import ChainRing, CircVec, CodeSpec, generator_matrix, is_self_dual
+from alphacirc.equivalence import s_map_pair, shift_right, substitute
 
 Z2 = ChainRing(2, 1, 1)
 
@@ -172,3 +174,73 @@ def self_dual_bordered_bases(k: int, p: int = 2) -> list[tuple]:
             if is_self_dual(CodeSpec("bordered", ring, k, 1, core, border)):
                 out.append((core, border))
     return out
+
+
+def shift_left(a: CircVec) -> CircVec:
+    """Image under (T_alpha, I): multiplication by alpha^{-1} x^{k-1}."""
+    inv_alpha = a.ring.inv(a.alpha)
+    first = a.coeffs[0] * inv_alpha % a.ring.size
+    return CircVec(a.ring, a.alpha, a.coeffs[1:] + (first,))
+
+
+def scale(a: CircVec, lam: int) -> CircVec:
+    """Image under (I, lam I): scaling by the unit lam."""
+    mod = a.ring.size
+    return CircVec(a.ring, a.alpha, tuple(c * lam % mod for c in a.coeffs))
+
+
+def _substitution_exponents(k: int, alpha: int, mod: int) -> list[int]:
+    return [s for s in range(1, k) if gcd(s, k) == 1 and pow(alpha, s * (k + 1) - 1, mod) == 1]
+
+
+def _closure(start, gens) -> set:
+    """Breadth-first closure of one state under the generator actions."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for g in gens:
+                w = g(v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
+
+
+def orbit(a: CircVec) -> set[tuple[int, ...]]:
+    """Orbit of a generating vector, closed one vector at a time under shifts
+    both ways, the square-one scalars and the admissible substitutions.  The
+    closed forms it applies are checked against the matrix pairs elsewhere."""
+    ring, alpha = a.ring, a.alpha
+    actions = [shift_right, shift_left]
+    actions += [lambda v, lam=lam: scale(v, lam) for lam in ring.square_roots_of_one() if lam != 1]
+    actions += [
+        lambda v, s=s: substitute(v, s) for s in _substitution_exponents(a.k, alpha, ring.size)
+    ]
+    gens = [lambda c, f=f: f(CircVec(ring, alpha, c)).coeffs for f in actions]
+    return _closure(a.coeffs, gens)
+
+
+def bordered_orbit(a: CircVec, border: tuple) -> set[tuple[tuple, tuple]]:
+    """Orbit of a (core, border) pair under core shifts, the substitutions whose
+    diagonal part is scalar (checked on the matrix form) and simultaneous
+    scaling of core and border by a square-one unit."""
+    ring, alpha, k, mod = a.ring, a.alpha, a.k, a.ring.size
+    actions = [shift_right, shift_left]
+    actions += [
+        lambda v, s=s: substitute(v, s)
+        for s in _substitution_exponents(k, alpha, mod)
+        if len(set(s_map_pair(ring, k, alpha, s).M.diag)) == 1
+    ]
+    gens = [lambda st, f=f: (f(CircVec(ring, alpha, st[0])).coeffs, st[1]) for f in actions]
+    gens += [
+        lambda st, lam=lam: (
+            tuple(c * lam % mod for c in st[0]),
+            tuple(b * lam % mod for b in st[1]),
+        )
+        for lam in ring.square_roots_of_one()
+        if lam != 1
+    ]
+    return _closure((a.coeffs, tuple(border)), gens)

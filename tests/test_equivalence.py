@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
 
+import helpers
 from alphacirc import (
     ChainRing,
     CircVec,
@@ -13,7 +15,7 @@ from alphacirc import (
     cir,
     is_alpha_circulant,
     is_self_dual,
-    lyndon_words,
+    necklaces,
     s_map_pair,
     t_alpha,
     type_shift_matrix,
@@ -21,17 +23,17 @@ from alphacirc import (
 from alphacirc.equivalence import (
     MonomialMatrix,
     MonomialPair,
+    _group,
     canonical_form_bordered,
     generator_pairs,
-    orbit,
-    scale,
-    shift_left,
     shift_right,
     substitute,
 )
 
 Z2 = ChainRing(2, 1, 1)
+F3 = ChainRing(3, 1, 2)
 Z4 = ChainRing(2, 2, 3)
+Z8 = ChainRing(2, 3, 7)
 Z9 = ChainRing(3, 2, 8)
 
 
@@ -77,13 +79,13 @@ class TestAct:
 
     def test_shift_left(self):
         a = CircVec(Z2, 1, (1, 1, 1, 0))
-        assert shift_left(a).coeffs == (1, 1, 0, 1)
+        assert helpers.shift_left(a).coeffs == (1, 1, 0, 1)
         pair = generator_pairs(Z2, 4, 1)[1][1]
         assert act(pair, a).coeffs == (1, 1, 0, 1)
 
     def test_scalar(self):
         a = CircVec(Z4, 3, (1, 2, 0, 1))
-        assert scale(a, 3).coeffs == (3, 2, 0, 3)
+        assert helpers.scale(a, 3).coeffs == (3, 2, 0, 3)
 
     def test_dimension_mismatch(self):
         pair = generator_pairs(Z2, 4, 1)[0][1]
@@ -192,8 +194,6 @@ class TestCanonicalForm:
 
     def test_self_duality_preserved_by_action(self):
         # the orthogonal generators map self-dual vectors to self-dual vectors
-        import helpers
-
         rng = random.Random(5)
         pool = [(4, a) for a in helpers.self_dual_double_bases(4)]
         pool += [(6, a) for a in helpers.self_dual_double_bases(6)]
@@ -217,39 +217,94 @@ class TestCanonicalForm:
         assert canonical_form_bordered(shifted, border) == canon
 
 
-class TestLyndonWords:
+class TestGroupAgainstOracle:
+    """The cached group against the per-vector breadth-first closure."""
+
+    @staticmethod
+    def group_orbit(a, border=None):
+        gather, mult, border_mult = _group(a.ring, a.k, a.alpha, border is not None)
+        images = mult * np.array(a.coeffs)[gather] % a.ring.size
+        if border is None:
+            return {tuple(row) for row in images.tolist()}
+        borders = np.outer(border_mult, border) % a.ring.size
+        return set(zip(map(tuple, images.tolist()), map(tuple, borders.tolist())))
+
+    @pytest.mark.parametrize(
+        "ring, alpha, k_max",
+        [(Z2, 1, 8), (F3, 2, 6), (Z4, 1, 5), (Z4, 3, 5), (Z8, 7, 4), (Z9, 8, 4)],
+        ids=["Z2", "F3-nega", "Z4-circ", "Z4-nega", "Z8-nega", "Z9-nega"],
+    )
+    def test_every_vector(self, ring, alpha, k_max):
+        for k in range(1, k_max + 1):
+            covered = set()
+            for coeffs in itertools.product(range(ring.size), repeat=k):
+                if coeffs in covered:
+                    continue
+                orbit = helpers.orbit(CircVec(ring, alpha, coeffs))
+                covered |= orbit
+                assert self.group_orbit(CircVec(ring, alpha, coeffs)) == orbit
+                for w in orbit:
+                    assert canonical_form(CircVec(ring, alpha, w)).coeffs == min(orbit)
+
+    @pytest.mark.parametrize(
+        "ring, alpha, max_core",
+        [(Z2, 1, 7), (ChainRing(3, 1, 1), 1, 5), (F3, 2, 5)],
+        ids=["F2", "F3", "F3-nega"],
+    )
+    def test_every_bordered_pair(self, ring, alpha, max_core):
+        # with alpha = -1 some substitutions have a non-scalar diagonal part
+        for core_len in range(1, max_core + 1):
+            covered = set()
+            pairs = itertools.product(
+                itertools.product(range(ring.size), repeat=core_len),
+                itertools.product(range(ring.size), repeat=3),
+            )
+            for core, border in pairs:
+                if (core, border) in covered:
+                    continue
+                a = CircVec(ring, alpha, core)
+                orbit = helpers.bordered_orbit(a, border)
+                covered |= orbit
+                assert self.group_orbit(a, border) == orbit
+                best = min(orbit, key=lambda st: st[0] + st[1])
+                for w_core, w_border in orbit:
+                    assert canonical_form_bordered(CircVec(ring, alpha, w_core), w_border) == best
+
+
+class TestNecklaces:
     def test_k4_q2(self):
-        words = list(lyndon_words(4, 2))
-        assert words[:3] == [(0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 1, 1)]
-        assert set(words[3:]) == {(0, 0, 0, 0), (1, 1, 1, 1)}
+        assert list(necklaces(4, 2)) == [
+            (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 1, 1, 1),
+        ]
 
     def test_k1(self):
-        assert list(lyndon_words(1, 2)) == [(0,), (1,)]
+        assert list(necklaces(1, 2)) == [(0,), (1,)]
+        assert list(necklaces(1, 3)) == [(0,), (1,), (2,)]
 
     def test_k2(self):
-        assert list(lyndon_words(2, 2)) == [(0, 1), (0, 0), (1, 1)]
+        assert list(necklaces(2, 2)) == [(0, 0), (0, 1), (1, 1)]
 
-    def test_moebius_count(self):
-        # number of aperiodic necklaces: (1/k) sum_{d | k} mu(d) q^{k/d}
-        def mu(n):
-            out, d = 1, 2
-            while d * d <= n:
-                if n % d == 0:
-                    n //= d
-                    if n % d == 0:
-                        return 0
-                    out = -out
-                d += 1
-            return -out if n > 1 else out
+    def test_count(self):
+        # number of necklaces: (1/k) sum_{d | k} phi(d) q^{k/d}
+        def phi(n):
+            return sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
 
-        for k, q in [(4, 2), (6, 2), (8, 2), (5, 3), (6, 3)]:
-            expected = sum(mu(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
-            words = [w for w in lyndon_words(k, q) if len(set(w)) > 1]
-            assert len(words) == expected
+        for k, q in [(4, 2), (6, 2), (8, 2), (12, 2), (5, 3), (6, 3), (4, 4), (3, 9)]:
+            expected = sum(phi(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+            assert len(list(necklaces(k, q))) == expected
 
-    def test_words_are_strictly_least_rotations(self):
-        for w in lyndon_words(6, 2):
-            if len(set(w)) == 1:
-                continue
-            rotations = {w[i:] + w[:i] for i in range(1, len(w))}
-            assert all(w < r for r in rotations)
+    def test_words_are_least_rotations(self):
+        for k, q in [(6, 2), (4, 3)]:
+            for w in necklaces(k, q):
+                assert all(w <= w[i:] + w[:i] for i in range(1, k))
+
+    def test_every_rotation_class_once_in_lex_order(self):
+        for k in range(1, 7):
+            for q in (2, 3):
+                words = list(necklaces(k, q))
+                assert words == sorted(set(words))
+                classes = {
+                    min(w[i:] + w[:i] for i in range(k))
+                    for w in itertools.product(range(q), repeat=k)
+                }
+                assert set(words) == classes

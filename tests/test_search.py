@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -6,11 +7,14 @@ import helpers
 from alphacirc import (
     ChainRing,
     CircVec,
+    CodeSpec,
     ConfigurationError,
     SearchConfig,
     SearchRecord,
     canonical_form,
     enumerate_base_codes,
+    is_doubly_even,
+    is_self_dual,
     run_search,
     verify_record,
 )
@@ -70,16 +74,37 @@ class TestBaseEnumeration:
         for s in reps:
             assert s.a == canonical_form(CircVec(Z2, 1, s.a)).coeffs
 
-    def test_covers_all_self_dual_orbits(self):
-        Z2 = ChainRing(2, 1, 1)
-        reps = {s.a for s in enumerate_base_codes(cfg(family="double-circ"))}
-        from alphacirc import CodeSpec, is_doubly_even
-
+    @pytest.mark.parametrize(
+        "ring_name, n, family",
+        [("z4", n, f) for n in (8, 16) for f in ("double-circ", "bordered-circ")]
+        + [("z9", n, f) for n in range(2, 13, 2) for f in ("double-nega", "double-circ")]
+        + [("z9", n, "bordered-circ") for n in range(4, 13, 2)]
+        + [("z9", 16, "double-nega")],
+    )
+    def test_covers_all_self_dual_orbits(self, ring_name, n, family):
+        # every self-dual base vector, canonicalized by the breadth-first oracle
+        config = cfg(ring=ChainRing.from_name(ring_name), n=n, family=family)
+        ring, k = config.base_ring(), config.k
+        reps = {(s.a, s.border) for s in enumerate_base_codes(config)}
         expected = set()
-        for a in helpers.self_dual_double_bases(4):
-            if not is_doubly_even(CodeSpec("double", Z2, 4, 1, a)):
+        if config.kind == "double":
+            candidates = itertools.product(itertools.product(range(ring.p), repeat=k), [None])
+        else:
+            candidates = itertools.product(
+                itertools.product(range(ring.p), repeat=k - 1),
+                itertools.product(range(ring.p), repeat=3),
+            )
+        for a, border in candidates:
+            spec = CodeSpec(config.kind, ring, k, ring.alpha, a, border)
+            if not is_self_dual(spec):
                 continue
-            expected.add(canonical_form(CircVec(Z2, 1, a)).coeffs)
+            if ring_name == "z4" and not is_doubly_even(spec):
+                continue
+            v = CircVec(ring, ring.alpha, a)
+            if border is None:
+                expected.add((min(helpers.orbit(v)), None))
+            else:
+                expected.add(min(helpers.bordered_orbit(v, border), key=lambda st: st[0] + st[1]))
         assert reps == expected
 
     def test_bordered_reps_dedup(self):
@@ -221,6 +246,11 @@ class TestCli:
         ])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0,1,1,1"
+
+    def test_bordered_search_with_one_core_entry(self, capsys):
+        for ring in ("z2", "z9"):
+            code = main(["search", "--ring", ring, "--length", "4", "--family", "bordered-circ"])
+            assert code == 0, capsys.readouterr().err
 
     def test_config_error_exit_code(self, capsys):
         code = main([
