@@ -16,12 +16,14 @@ import argparse
 import sys
 
 from .chainring import ChainRing, ChainRingError
-from .circulant import CircVec, CodeSpec, format_vector, parse_vector
+from .circulant import CircVec, format_vector, parse_vector
 from .distance import min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form
 from .search import (
+    FAMILIES,
     ConfigurationError,
     SearchConfig,
+    family_spec,
     read_records,
     run_search,
     verify_record,
@@ -38,9 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search one length/family for the best d_Lee")
     p.add_argument("--ring", required=True, help="ring name: z2, z4, z8, z9")
     p.add_argument("--length", type=int, required=True, help="code length n = 2k")
-    p.add_argument("--family", required=True,
-                   choices=["double-nega", "double-circ", "bordered-circ"])
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--threads", type=int, default=1,
+                   help="has no effect: searches run on one thread")
     p.add_argument("--out", help="results file (line-delimited records)")
     p.add_argument("--checkpoint", help="checkpoint file for resume")
     p.add_argument("--extended", action="store_true", help="allow n > 24 long runs")
@@ -52,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance", help="evaluate one code spec")
     p.add_argument("--ring", required=True)
-    p.add_argument("--family", required=True,
-                   choices=["double-nega", "double-circ", "bordered-circ"])
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--vector", required=True, help="comma-separated digits, index 0 first")
     p.add_argument("--border", help="beta,gamma,delta for bordered specs")
 
@@ -70,7 +71,6 @@ def _cmd_search(args) -> int:
         ring=ChainRing.from_name(args.ring),
         n=args.length,
         family=args.family,
-        threads=args.threads,
         out=args.out,
         checkpoint=args.checkpoint,
         extended=args.extended,
@@ -97,22 +97,13 @@ def _cmd_verify(args) -> int:
     return 0 if bad == 0 else 2
 
 
-def _family_spec(ring_name: str, family: str, vector: str, border: str | None) -> CodeSpec:
-    ring = ChainRing.from_name(ring_name)
-    alpha = ring.size - 1 if family == "double-nega" else 1
-    a = parse_vector(vector)
-    if family == "bordered-circ":
-        if border is None:
-            raise ConfigurationError("bordered specs need --border beta,gamma,delta")
-        b = parse_vector(border)
-        if len(b) != 3:
-            raise ConfigurationError("--border takes exactly three digits")
-        return CodeSpec("bordered", ring.with_alpha(alpha), len(a) + 1, alpha, a, b)
-    return CodeSpec("double", ring.with_alpha(alpha), len(a), alpha, a)
-
-
 def _cmd_distance(args) -> int:
-    spec = _family_spec(args.ring, args.family, args.vector, args.border)
+    border = None if args.border is None else parse_vector(args.border)
+    if border is not None and len(border) != 3:
+        raise ConfigurationError("--border takes exactly three digits")
+    # the spec rejects a border on a double family and a bordered one without
+    ring = ChainRing.from_name(args.ring)
+    spec = family_spec(args.family, ring, parse_vector(args.vector), border)
     d_lee = min_lee_distance(spec)
     d_ham = min_hamming_distance(spec)
     print(f"n={spec.n} d_lee={d_lee} d_ham={d_ham}")

@@ -58,11 +58,9 @@ class TestSearchConfig:
         with pytest.raises(ConfigurationError):
             cfg(n=72, extended=True)
 
-    def test_rejects_bad_family_and_threads(self):
+    def test_rejects_bad_family(self):
         with pytest.raises(ConfigurationError):
             cfg(family="triple-circ")
-        with pytest.raises(ConfigurationError):
-            cfg(threads=0)
 
 
 class TestBaseEnumeration:
@@ -126,18 +124,11 @@ class TestRunSearch:
         result = run_search(cfg(family="bordered-circ"))
         assert result.best_d_lee == 6
 
-    def test_deterministic(self):
-        r1 = run_search(cfg())
-        r2 = run_search(cfg())
-        key = lambda r: (r.base, r.lift, r.border or ())
-        assert sorted(map(key, r1.records)) == sorted(map(key, r2.records))
-
-    def test_threads_agree(self):
-        r1 = run_search(cfg())
-        r2 = run_search(cfg(threads=2))
-        assert r1.best_d_lee == r2.best_d_lee
-        key = lambda r: (r.base, r.lift, r.border or ())
-        assert sorted(map(key, r1.records)) == sorted(map(key, r2.records))
+    def test_deterministic(self, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        run_search(cfg(out=str(first)))
+        run_search(cfg(out=str(second)))
+        assert first.read_bytes() == second.read_bytes()
 
     def test_prune_matches_unpruned(self):
         r1 = run_search(cfg())
@@ -202,6 +193,12 @@ class TestRecords:
         assert not verify_record(dataclasses.replace(rec, d_lee=rec.d_lee + 2))
         bad_lift = tuple((c + 1) % 4 for c in rec.lift)
         assert not verify_record(dataclasses.replace(rec, lift=bad_lift))
+        assert not verify_record(dataclasses.replace(rec, n=2 * rec.n))
+        binary = SearchRecord.from_line(
+            "double-circ z2 8 base=0,1,1,1 lift=0,1,1,1 border=- d_lee=4 d_ham_base=4"
+        )
+        assert verify_record(binary)
+        assert not verify_record(dataclasses.replace(binary, family="triple-circ"))
 
 
 class TestCli:
@@ -251,6 +248,18 @@ class TestCli:
         for ring in ("z2", "z9"):
             code = main(["search", "--ring", ring, "--length", "4", "--family", "bordered-circ"])
             assert code == 0, capsys.readouterr().err
+
+    def test_bordered_search_rejects_empty_core(self, capsys):
+        code = main(["search", "--ring", "z2", "--length", "2", "--family", "bordered-circ"])
+        assert code == 1
+        assert "n = 2" in capsys.readouterr().err
+
+    def test_threads_flag_does_not_change_results(self, tmp_path, capsys):
+        argv = ["search", "--ring", "z4", "--length", "24", "--family", "double-nega"]
+        one, two = tmp_path / "one.txt", tmp_path / "two.txt"
+        assert main(argv + ["--out", str(one)]) == 0
+        assert main(argv + ["--threads", "2", "--out", str(two)]) == 0
+        assert one.read_bytes() == two.read_bytes()
 
     def test_config_error_exit_code(self, capsys):
         code = main([
