@@ -37,7 +37,6 @@ from .lifting import (
     build_lift_system,
     enumerate_lifts,
     nested_lift,
-    residuals,
     self_dual_lifts,
     solve_lift_system,
 )

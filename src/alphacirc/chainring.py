@@ -86,12 +86,6 @@ class ChainRing:
             raise ChainRingError(f"{value} is not a residue in [0, {self.size})")
         return value
 
-    def reduce(self, value: int) -> int:
-        return value % self.size
-
-    def neg(self, x: int) -> int:
-        return (-x) % self.size
-
     def is_unit(self, x: int) -> bool:
         return gcd(x % self.size, self.p) == 1
 

@@ -98,19 +98,12 @@ def cir(v: CircVec) -> np.ndarray:
     """Explicit k x k alpha-circulant matrix generated by v.
 
     Entry (i, j) is a_{j-i} for j >= i and alpha * a_{k+j-i} below the
-    diagonal.
+    diagonal, so row i is the length-k window of (alpha a | a) starting at
+    k - i.
     """
-    k = v.k
-    mod = v.ring.size
     a = np.array(v.coeffs, dtype=np.int64)
-    out = np.empty((k, k), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            if j >= i:
-                out[i, j] = a[j - i]
-            else:
-                out[i, j] = v.alpha * a[k + j - i] % mod
-    return out
+    r = np.arange(v.k)
+    return np.concatenate([v.alpha * a % v.ring.size, a])[v.k + r - r[:, None]]
 
 
 def vec_from_matrix(A: np.ndarray, ring: ChainRing, alpha: int) -> CircVec:

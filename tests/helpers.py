@@ -165,13 +165,13 @@ def self_dual_double_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
     return out
 
 
-def self_dual_bordered_bases(k: int, p: int = 2) -> list[tuple]:
+def self_dual_bordered_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
     """All (core, border) pairs of self-dual bordered circulant codes over F_p."""
-    ring = ChainRing(p, 1, 1)
+    ring = ChainRing(p, 1, alpha)
     out = []
     for core in itertools.product(range(p), repeat=k - 1):
         for border in itertools.product(range(p), repeat=3):
-            if is_self_dual(CodeSpec("bordered", ring, k, 1, core, border)):
+            if is_self_dual(CodeSpec("bordered", ring, k, alpha, core, border)):
                 out.append((core, border))
     return out
 

@@ -136,14 +136,14 @@ class TestMinDistance:
             assert min_lee_distance(spec) <= (spec.ring.size // 2) * min_hamming_distance(spec)
 
 
-def assert_certifier_matches(certify, oracle, spec):
-    """The certifier equals the oracle exactly and with the abort threshold at
-    d and d + 1.  At d nothing lies below the threshold, so the oracle's
-    answer there is its exact value and is not recomputed."""
+def assert_certifier_matches(oracle, spec):
+    """The Lee certifier equals the oracle exactly and with the abort
+    threshold at d and d + 1.  At d nothing lies below the threshold, so the
+    oracle's answer there is its exact value and is not recomputed."""
     d = oracle()
-    assert certify(spec) == d, spec
-    assert certify(spec, early_abort_at=d) == d, spec
-    assert certify(spec, early_abort_at=d + 1) == oracle(d + 1) == d, spec
+    assert min_lee_distance(spec) == d, spec
+    assert min_lee_distance(spec, early_abort_at=d) == d, spec
+    assert min_lee_distance(spec, early_abort_at=d + 1) == oracle(d + 1) == d, spec
 
 
 def search_lifts(ring, n, family):
@@ -166,13 +166,13 @@ class TestCertifierAtProductionSize:
         for spec in winners + others:
             G = generator_matrix(spec)
             oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
-            assert_certifier_matches(min_lee_distance, oracle, spec)
+            assert_certifier_matches(oracle, spec)
         assert {min_lee_distance(spec) for spec in winners} == {12}
         for base in bases:
             G = generator_matrix(base)
             nonzero = lee_table(base.ring) != 0
-            oracle = lambda abort=None: helpers.mitm_min_weight(G, 2, nonzero, abort)
-            assert_certifier_matches(min_hamming_distance, oracle, base)
+            d_ham = helpers.mitm_min_weight(G, 2, nonzero)
+            assert min_hamming_distance(base) == d_ham, base
 
     @pytest.mark.parametrize("ring,n,step", [("z9", 12, 4), ("z8", 8, 1)])
     @pytest.mark.parametrize("family", ["double-nega", "bordered-circ"])
@@ -182,12 +182,12 @@ class TestCertifierAtProductionSize:
             G = generator_matrix(spec)
             table = lee_table(spec.ring)
             oracle = lambda abort=None: helpers.mitm_min_weight(G, spec.ring.size, table, abort)
-            assert_certifier_matches(min_lee_distance, oracle, spec)
+            assert_certifier_matches(oracle, spec)
         for base in bases:
             G = generator_matrix(base)
             nonzero = lee_table(base.ring) != 0
-            oracle = lambda abort=None: helpers.mitm_min_weight(G, base.ring.p, nonzero, abort)
-            assert_certifier_matches(min_hamming_distance, oracle, base)
+            d_ham = helpers.mitm_min_weight(G, base.ring.p, nonzero)
+            assert min_hamming_distance(base) == d_ham, base
 
     def test_one_information_set(self):
         # a singular right half, and a [24,12] code one entry away from a
@@ -201,7 +201,7 @@ class TestCertifierAtProductionSize:
             assert not is_self_dual(spec)
             G = generator_matrix(spec)
             oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
-            assert_certifier_matches(min_lee_distance, oracle, spec)
+            assert_certifier_matches(oracle, spec)
 
     def test_message_blocks_cover_each_layer_once(self):
         table = tuple(lee_table(Z9).tolist())
@@ -235,12 +235,20 @@ class TestDoublyEven:
         import numpy as np
 
         rng = random.Random(5)
+        specs = []
         for _ in range(60):
             k = rng.randrange(1, 5)
-            spec = CodeSpec("double", Z2, k, 1, tuple(rng.randrange(2) for _ in range(k)))
+            specs.append(CodeSpec("double", Z2, k, 1, tuple(rng.randrange(2) for _ in range(k))))
+        specs += [
+            CodeSpec("bordered", Z2, k, 1, core, border)
+            for k in range(2, 7)
+            for core in itertools.product(range(2), repeat=k - 1)
+            for border in itertools.product(range(2), repeat=3)
+        ]
+        for spec in specs:
             G = generator_matrix(spec)
             all_even = all(
                 int((np.array(m) @ G % 2).sum()) % 4 == 0
-                for m in itertools.product(range(2), repeat=k)
+                for m in itertools.product(range(2), repeat=spec.k)
             )
             assert is_doubly_even(spec) == all_even

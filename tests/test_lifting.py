@@ -8,7 +8,6 @@ import helpers
 from alphacirc import (
     BaseNotSelfDual,
     ChainRing,
-    CircVec,
     CodeSpec,
     is_self_dual,
     nested_lift,
@@ -18,7 +17,6 @@ from alphacirc.gfsolve import rref, solve_affine
 from alphacirc.lifting import (
     build_lift_system,
     enumerate_lifts,
-    residuals,
     section_lift_spec,
     solve_lift_system,
 )
@@ -77,28 +75,6 @@ class TestGfSolve:
             assert got == expected
 
 
-class TestResiduals:
-    def test_example(self):
-        a = CircVec(Z2, 1, (1, 1, 1, 0))
-        assert residuals(a, Z4) == [0, 2, 0]
-
-    def test_wrong_base_ring(self):
-        with pytest.raises(ValueError):
-            residuals(CircVec(Z4, 3, (1, 0)), Z4)
-
-    def test_all_in_ideal_iff_self_dual(self):
-        rng = random.Random(1)
-        for target, base in [(Z4, Z2), (Z9, F3), (Z8, ChainRing(2, 2, 3))]:
-            for _ in range(300):
-                k = rng.randrange(2, 6)
-                a = CircVec(
-                    base, base.alpha, tuple(rng.randrange(base.size) for _ in range(k))
-                )
-                cs = residuals(a, target)
-                sd = is_self_dual(CodeSpec("double", base, k, base.alpha, a.coeffs))
-                assert all(target.in_minimal_ideal(c) for c in cs) == sd
-
-
 class TestLiftSystem:
     def test_known_eight_solution_case(self):
         base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
@@ -128,17 +104,25 @@ class TestLiftSystem:
         with pytest.raises(ValueError):
             section_lift_spec(CodeSpec("double", Z2, 2, 1, (1, 0)), Z9)
 
-    def test_variable_layout_bordered(self):
-        base = CodeSpec("bordered", Z2, 4, 1, (1, 1, 0), border=(0, 1, 1))
-        system = build_lift_system(base, Z4)
-        assert system.variables == (
-            ("a", 0),
-            ("a", 1),
-            ("a", 2),
-            ("beta",),
-            ("gamma",),
-            ("delta",),
-        )
+    def test_raises_iff_base_not_self_dual(self):
+        # the section lift's Gram entries all lie in the minimal ideal
+        # exactly when the base is self-dual over R/I
+        rng = random.Random(1)
+        for target, base in [(Z4, Z2), (Z9, F3), (Z8, ChainRing(2, 2, 3))]:
+            for _ in range(150):
+                k = rng.randrange(2, 6)
+                a = tuple(rng.randrange(base.size) for _ in range(k))
+                border = tuple(rng.randrange(base.size) for _ in range(3))
+                for spec in (
+                    CodeSpec("double", base, k, base.alpha, a),
+                    CodeSpec("bordered", base, k, base.alpha, a[1:], border),
+                ):
+                    try:
+                        build_lift_system(spec, target)
+                    except BaseNotSelfDual:
+                        assert not is_self_dual(spec), spec
+                    else:
+                        assert is_self_dual(spec), spec
 
     def test_solution_count_is_power_of_q(self):
         for k in (2, 3, 4):
@@ -174,6 +158,18 @@ class TestBruteForceAgreement:
                 got = {(spec.a, spec.border) for spec in self_dual_lifts(base, Z4)}
                 assert got == expected, (core, border)
 
+    def test_bordered_f3_to_z9(self):
+        bases = [
+            CodeSpec("bordered", F3, k, 2, core, border)
+            for k in (2, 3, 4, 5)
+            for core, border in helpers.self_dual_bordered_bases(k, p=3, alpha=2)
+        ]
+        assert bases
+        for base in bases:
+            expected = helpers.brute_force_lift_vectors(base, Z9)
+            got = {(spec.a, spec.border) for spec in self_dual_lifts(base, Z9)}
+            assert got == expected, base
+
 
 class TestNestedLift:
     def test_single_level_is_identity(self):
@@ -181,12 +177,19 @@ class TestNestedLift:
         assert list(nested_lift(base, Z2)) == [base]
 
     def test_matches_preimage_enumeration_z8(self):
-        for k in (2, 3):
-            for a in helpers.self_dual_double_bases(k):
-                base = CodeSpec("double", Z2, k, 1, a)
-                expected = helpers.brute_force_preimages(base, Z8)
-                got = {(spec.a, spec.border) for spec in nested_lift(base, Z8)}
-                assert got == expected, a
+        bases = [
+            CodeSpec("double", Z2, k, 1, a)
+            for k in (2, 3)
+            for a in helpers.self_dual_double_bases(k)
+        ] + [
+            CodeSpec("bordered", Z2, k, 1, core, border)
+            for k in (2, 3, 4)
+            for core, border in helpers.self_dual_bordered_bases(k)
+        ]
+        for base in bases:
+            expected = helpers.brute_force_preimages(base, Z8)
+            got = {(spec.a, spec.border) for spec in nested_lift(base, Z8)}
+            assert got == expected, base
 
     def test_all_outputs_self_dual_and_project(self):
         base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
@@ -209,6 +212,13 @@ class TestEnumerateLifts:
         base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
         empty = LiftSolutionSet(None, (), 2)
         assert list(enumerate_lifts(base, Z4, empty)) == []
+
+    def test_unique_lift(self):
+        # a zero-dimensional solution space still yields its one lift, with
+        # integer (not float) coordinates
+        base = CodeSpec("double", ChainRing(5, 1, 1), 1, 1, (2,))
+        lifts = [spec.a for spec in self_dual_lifts(base, ChainRing(5, 2, 1))]
+        assert lifts == [(7,)] and type(lifts[0][0]) is int
 
     def test_projection_property(self):
         base = CodeSpec("bordered", Z2, 4, 1, (1, 1, 0), border=(0, 1, 1))
