@@ -3,13 +3,13 @@ forms, and necklace enumeration.
 
 A monomial matrix is S(sigma) D with S_{ij} = [i == sigma(j)] and D an
 invertible diagonal.  Pairs (N, M) act on circulant matrices by
-A -> N^{-1} A M; the generators used here (shifts, square-one scalars and
-the substitution maps f(x) -> f((alpha x)^s)) all preserve alpha-circulant
-structure, and under the restriction to orthogonal matrices they preserve
-self-duality as well.  Every element of the group they generate sends a
-generating vector a to (mult_j * a_{gather_j})_j; the group is closed once
-per (ring, k, alpha, bordered) and cached, and a canonical form is the
-lexicographic minimum over the images of a under all of its elements.
+A -> N^{-1} A M; the generators used here (shifts, the scalar -1 and the
+substitution maps f(x) -> f((alpha x)^s)) all preserve alpha-circulant
+structure, and with alpha = +-1 their entries are +-1, so they preserve
+self-duality and Lee weight as well.  Every element of the group they
+generate sends a generating vector a to (mult_j * a_{gather_j})_j; the group
+is closed once per (ring, k, alpha, bordered) and cached, and a canonical form
+is the lexicographic minimum over the images of a under all of its elements.
 """
 
 from __future__ import annotations
@@ -212,9 +212,8 @@ def generator_pairs(ring: ChainRing, k: int, alpha: int) -> list[tuple[str, Mono
         ("shift_right", shift_pair_right(ring, k, alpha)),
         ("shift_left", shift_pair_left(ring, k, alpha)),
     ]
-    for lam in ring.square_roots_of_one():
-        if lam != 1:
-            pairs.append((f"scale_{lam}", scalar_pair(ring, k, lam)))
+    if ring.size > 2:
+        pairs.append((f"scale_{ring.size - 1}", scalar_pair(ring, k, ring.size - 1)))
     for s in _substitution_exponents(k, alpha, ring.size):
         pairs.append((f"s_map_{s}", s_map_pair(ring, k, alpha, s)))
     return pairs
@@ -257,23 +256,23 @@ def _group(
     """Every group element as rows of gather indices, multipliers and border
     multipliers (cached, read-only).
 
-    The generators are restricted to orthogonal pairs (scalars with
-    lambda^2 = 1), so the group preserves self-duality.  Bordered groups keep
-    only the substitutions with a scalar diagonal part, which leave the border
-    vectors in place, and scale the border together with the core.
+    alpha and the only scalar lambda are +-1, so every multiplier is +-1 and
+    each element is a signed permutation of coordinates: it preserves
+    self-duality and Lee weight.  (The other square roots of one, such as 3
+    and 5 over Z8, keep self-duality but not Lee weight.)  Bordered groups keep only the
+    substitutions with a scalar diagonal part, which leave the border vectors
+    in place, and scale the border together with the core.
     """
     mod = ring.size
-    if alpha * alpha % mod != 1:
-        raise ChainRingError("canonical forms require alpha^2 = 1")
+    if alpha % mod not in (1, mod - 1):
+        raise ChainRingError("canonical forms require alpha = +-1")
     identity = (tuple(range(k)), (1,) * k, 1)
     gens = [(*_monomial(shift_right, ring, k, alpha), 1)]
     for s in _substitution_exponents(k, alpha, mod):
         gather, mult = _monomial(lambda a, s=s: substitute(a, s), ring, k, alpha)
         if not bordered or len(set(mult)) == 1:
             gens.append((gather, mult, 1))
-    for lam in ring.square_roots_of_one():
-        if lam != 1:
-            gens.append((identity[0], (lam,) * k, lam if bordered else 1))
+    gens.append((identity[0], (mod - 1,) * k, mod - 1 if bordered else 1))
     elements = {identity}
     frontier = elements
     while frontier:
@@ -297,7 +296,7 @@ def canonical_form_bordered(
 ) -> tuple[tuple[int, ...], tuple[int, int, int]]:
     """Canonical (core, border) pair for bordered specs: the least core + border
     over the orbit under core shifts, substitution maps whose diagonal part is
-    scalar, and simultaneous scaling of core and border by a square-one unit."""
+    scalar, and simultaneous negation of core and border."""
     gather, mult, border_mult = _group(a.ring, a.k, a.alpha, True)
     images = np.hstack([mult * np.array(a.coeffs)[gather], np.outer(border_mult, border)])
     best = min((images % a.ring.size).tolist())

@@ -14,7 +14,9 @@ coordinate v of G_0 moves by theta^{m-1}, divided by theta^{m-1} and reduced
 mod theta; only `circulant.generator_matrix` knows where a coordinate sits in
 G.  Solving the system yields an affine subspace of F_q^t describing exactly
 the self-dual lifts; chaining the step through R/(theta^2), R/(theta^3), ...,
-R constructs all self-dual codes over R above a base-field code.
+R constructs all self-dual codes over R above a base-field code, and keeping
+one lift per orbit of the Lee-isometric group of `equivalence` at each level
+leaves one code per equivalence class.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chainring import ChainRing
-from .circulant import CodeSpec, gram_matrix
+from .circulant import CircVec, CodeSpec, gram_matrix
+from .equivalence import canonical_form, canonical_form_bordered
 
 
 class BaseNotSelfDual(ValueError):
@@ -151,11 +154,36 @@ def self_dual_lifts(base: CodeSpec, ring: ChainRing):
     return enumerate_lifts(base, ring, solve_lift_system(build_lift_system(base, ring)))
 
 
+def _one_per_orbit(specs):
+    """The first spec of each orbit of the cached group, in input order."""
+    seen = set()
+    for spec in specs:
+        v = CircVec(spec.ring, spec.alpha, spec.a)
+        if spec.border is None:
+            key = canonical_form(v).coeffs
+        else:
+            key = canonical_form_bordered(v, spec.border)
+        if key not in seen:
+            seen.add(key)
+            yield spec
+
+
 def nested_lift(base: CodeSpec, ring: ChainRing):
-    """All self-dual specs over R projecting to the base-field spec.
+    """One self-dual spec over R per equivalence class of those projecting
+    to the base-field spec.
 
     Runs m - 1 lifting steps through the quotient chain; with m = 1 the base
-    itself is the only output.
+    itself is the only output.  After each step only the first lift of each
+    orbit of the group of `equivalence._group` (shifts, substitutions and
+    the scalars +-1, all Lee isometries) is kept, in solution order, so the
+    outputs are pairwise inequivalent and every self-dual preimage of the
+    base is equivalent to one of them.  Pruning an intermediate level drops
+    only copies: an element of the group maps the self-dual lifts of L onto
+    those of its image, and the group of each level projects onto the one
+    below.  The kept spec is the lift itself, not its canonical form, so it
+    still projects to the base.  The target's alpha must be +-1: canonical
+    forms reject any other square root of one (3 or 5 over Z8), whose shift
+    is no Lee isometry.
     """
     if base.ring.m != 1 or base.ring.p != ring.p:
         raise ValueError("nested lifting starts from a spec over the residue field")
@@ -166,5 +194,6 @@ def nested_lift(base: CodeSpec, ring: ChainRing):
             level,
             None if ring.alpha is None else ring.alpha % ring.p**level,
         )
-        current = [lift for spec in current for lift in self_dual_lifts(spec, target)]
+        lifts = (lift for spec in current for lift in self_dual_lifts(spec, target))
+        current = list(_one_per_orbit(lifts))
     yield from current

@@ -77,7 +77,7 @@ class SearchConfig:
         if self.n > 24 and not self.extended:
             raise ConfigurationError(
                 f"n = {self.n} > 24 needs extended=True (--extended): Z4 n = 32 took"
-                " 14 s (double-nega) and 101 s (bordered-circ) on a 2-core VM,"
+                " 5-7 s (double-nega) and 56-60 s (bordered-circ) on a 2-core VM,"
                 " and n = 40 is unmeasured"
             )
         if self.n > 64:
@@ -102,7 +102,10 @@ class SearchConfig:
         return _residue_field(self.target_ring())
 
     def fingerprint(self) -> str:
-        return f"{self.family}:{self.ring.name}:{self.n}:{int(self.prune)}"
+        """Identifies the search a checkpoint belongs to.  The trailing format
+        tag says its counts and witnesses are per lift orbit; a checkpoint
+        without it counted every lift and is not resumed."""
+        return f"{self.family}:{self.ring.name}:{self.n}:{int(self.prune)}:orbit-lifts"
 
 
 @dataclass

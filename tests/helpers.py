@@ -155,6 +155,41 @@ def brute_force_preimages(base: CodeSpec, ring: ChainRing) -> set[tuple]:
     return found
 
 
+def all_nested_lifts(base: CodeSpec, ring: ChainRing) -> list[CodeSpec]:
+    """Every self-dual spec over R projecting to the base-field spec:
+    `self_dual_lifts` chained through the quotient chain, with no orbit
+    pruning, in solution order."""
+    from alphacirc.lifting import self_dual_lifts
+
+    current = [base]
+    for level in range(2, ring.m + 1):
+        target = ring if level == ring.m else ring.quotient(ring.m - level)
+        current = [lift for spec in current for lift in self_dual_lifts(spec, target)]
+    return current
+
+
+def spec_orbit(spec: CodeSpec) -> set[tuple]:
+    """{(a, border)} keys of a spec's orbit under the breadth-first closures."""
+    v = CircVec(spec.ring, spec.alpha, spec.a)
+    if spec.border is None:
+        return {(a, None) for a in orbit(v)}
+    return bordered_orbit(v, spec.border)
+
+
+def covers_preimages_once(base: CodeSpec, ring: ChainRing, specs: list[CodeSpec]) -> bool:
+    """Whether the orbits of `specs` are pairwise disjoint and, among the
+    specs projecting to `base`, cover exactly its self-dual preimages over R."""
+    orbits = [spec_orbit(spec) for spec in specs]
+    covered = set().union(*orbits)
+    p, flat = base.ring.p, base.a + (base.border or ())
+
+    def projects(key):
+        return tuple(c % p for c in key[0] + (key[1] or ())) == flat
+
+    disjoint = sum(map(len, orbits)) == len(covered)
+    return disjoint and set(filter(projects, covered)) == brute_force_preimages(base, ring)
+
+
 def self_dual_double_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
     """All generating vectors of self-dual double circulant codes over F_p."""
     ring = ChainRing(p, 1, alpha)
@@ -211,11 +246,13 @@ def _closure(start, gens) -> set:
 
 def orbit(a: CircVec) -> set[tuple[int, ...]]:
     """Orbit of a generating vector, closed one vector at a time under shifts
-    both ways, the square-one scalars and the admissible substitutions.  The
-    closed forms it applies are checked against the matrix pairs elsewhere."""
+    both ways, the scalar -1 and the admissible substitutions.  The closed
+    forms it applies are checked against the matrix pairs elsewhere.  Only
+    +-1 scale, because the other square roots of one (3 and 5 over Z8) are
+    not Lee isometries."""
     ring, alpha = a.ring, a.alpha
     actions = [shift_right, shift_left]
-    actions += [lambda v, lam=lam: scale(v, lam) for lam in ring.square_roots_of_one() if lam != 1]
+    actions += [lambda v: scale(v, ring.size - 1)]
     actions += [
         lambda v, s=s: substitute(v, s) for s in _substitution_exponents(a.k, alpha, ring.size)
     ]
@@ -226,7 +263,7 @@ def orbit(a: CircVec) -> set[tuple[int, ...]]:
 def bordered_orbit(a: CircVec, border: tuple) -> set[tuple[tuple, tuple]]:
     """Orbit of a (core, border) pair under core shifts, the substitutions whose
     diagonal part is scalar (checked on the matrix form) and simultaneous
-    scaling of core and border by a square-one unit."""
+    negation of core and border."""
     ring, alpha, k, mod = a.ring, a.alpha, a.k, a.ring.size
     actions = [shift_right, shift_left]
     actions += [
@@ -235,12 +272,5 @@ def bordered_orbit(a: CircVec, border: tuple) -> set[tuple[tuple, tuple]]:
         if len(set(s_map_pair(ring, k, alpha, s).M.diag)) == 1
     ]
     gens = [lambda st, f=f: (f(CircVec(ring, alpha, st[0])).coeffs, st[1]) for f in actions]
-    gens += [
-        lambda st, lam=lam: (
-            tuple(c * lam % mod for c in st[0]),
-            tuple(b * lam % mod for b in st[1]),
-        )
-        for lam in ring.square_roots_of_one()
-        if lam != 1
-    ]
+    gens.append(lambda st: (tuple(-c % mod for c in st[0]), tuple(-b % mod for b in st[1])))
     return _closure((a.coeffs, tuple(border)), gens)

@@ -96,13 +96,13 @@ def test_criterion_2_lift_oracle_equivalence():
             expected = helpers.brute_force_lift_vectors(base, Z9)
             got = {(s.a, s.border) for s in self_dual_lifts(base, Z9)}
             ok &= got == expected
-    # nested lifting F2 -> Z8 at k <= 3 against full preimage enumeration
-    for k in range(1, 4):
+    # nested lifting F2 -> Z8 at k <= 4 against full preimage enumeration:
+    # one output per orbit, and the orbits cover every preimage (k = 4 is
+    # the first length with self-dual lifts)
+    for k in range(1, 5):
         for a in helpers.self_dual_double_bases(k):
             base = CodeSpec("double", Z2, k, 1, a)
-            expected = helpers.brute_force_preimages(base, Z8)
-            got = {(s.a, s.border) for s in nested_lift(base, Z8)}
-            ok &= got == expected
+            ok &= helpers.covers_preimages_once(base, Z8, list(nested_lift(base, Z8)))
     report("criterion 2: lift systems equal brute-force solution sets", ok)
 
 

@@ -6,8 +6,10 @@ import pytest
 import helpers
 from alphacirc import (
     ChainRing,
+    CircVec,
     CodeSpec,
     SearchConfig,
+    canonical_form,
     enumerate_base_codes,
     generator_matrix,
     gray_image,
@@ -17,7 +19,6 @@ from alphacirc import (
     lee_weight,
     min_hamming_distance,
     min_lee_distance,
-    nested_lift,
     run_search,
 )
 from alphacirc.distance import _message_blocks, lee_table
@@ -147,10 +148,12 @@ def assert_certifier_matches(oracle, spec):
 
 
 def search_lifts(ring, n, family):
-    """The search's configuration, its base codes and all their lifts."""
+    """The search's configuration, its base codes and all their self-dual
+    lifts, not only one per orbit."""
     config = SearchConfig(ring=ChainRing.from_name(ring), n=n, family=family)
     bases = enumerate_base_codes(config)
-    lifts = [lift for base in bases for lift in nested_lift(base, config.target_ring())]
+    target = config.target_ring()
+    lifts = [lift for base in bases for lift in helpers.all_nested_lifts(base, target)]
     return config, bases, lifts
 
 
@@ -160,9 +163,13 @@ class TestCertifierAtProductionSize:
 
     def test_z4_n24_double_nega(self):
         config, bases, lifts = search_lifts("z4", 24, "double-nega")
-        winners = [rec.lift_spec() for rec in run_search(config).records]
+        winners = [lift for lift in lifts if min_lee_distance(lift, early_abort_at=12) >= 12]
         others = [lift for lift in lifts[::28] if lift not in winners]
         assert len(winners) == 8 and len(others) >= 24
+        # the search keeps one witness, equivalent to one of the 8
+        (witness,) = run_search(config).records
+        canon = lambda spec: canonical_form(CircVec(spec.ring, spec.alpha, spec.a))
+        assert canon(witness.lift_spec()) in {canon(spec) for spec in winners}
         for spec in winners + others:
             G = generator_matrix(spec)
             oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
@@ -234,11 +241,12 @@ class TestDoublyEven:
     def test_matches_full_enumeration(self):
         import numpy as np
 
-        rng = random.Random(5)
-        specs = []
-        for _ in range(60):
-            k = rng.randrange(1, 5)
-            specs.append(CodeSpec("double", Z2, k, 1, tuple(rng.randrange(2) for _ in range(k))))
+        specs = [
+            CodeSpec("double", Z2, k, 1, a)
+            for k in range(1, 7)
+            for a in itertools.product(range(2), repeat=k)
+        ]
+        assert len(specs) == 126
         specs += [
             CodeSpec("bordered", Z2, k, 1, core, border)
             for k in range(2, 7)

@@ -8,6 +8,7 @@ import pytest
 import helpers
 from alphacirc import (
     ChainRing,
+    ChainRingError,
     CircVec,
     CodeSpec,
     act,
@@ -269,6 +270,31 @@ class TestGroupAgainstOracle:
                 best = min(orbit, key=lambda st: st[0] + st[1])
                 for w_core, w_border in orbit:
                     assert canonical_form_bordered(CircVec(ring, alpha, w_core), w_border) == best
+
+
+class TestGroupIsLeeIsometric:
+    """Every element is a signed coordinate permutation, so it keeps Lee
+    weight: the other square roots of one (3 and 5 over Z8) must not occur."""
+
+    @pytest.mark.parametrize("bordered", [False, True], ids=["double", "bordered"])
+    @pytest.mark.parametrize("ring", [Z4, Z8, Z9], ids=["Z4", "Z8", "Z9"])
+    def test_multipliers_are_signs(self, ring, bordered):
+        signs = {1, ring.size - 1}
+        for alpha in (1, ring.size - 1):
+            for k in range(1, 7):
+                gather, mult, border_mult = _group(ring.with_alpha(alpha), k, alpha, bordered)
+                assert set(mult.ravel().tolist()) <= signs, (alpha, k)
+                assert set(border_mult.tolist()) <= signs, (alpha, k)
+                assert all(sorted(row) == list(range(k)) for row in gather.tolist())
+                # the negation is in the group, and nothing else scales every entry
+                scalars = {m[0] for g, m in zip(gather.tolist(), mult.tolist())
+                           if g == list(range(k)) and len(set(m)) == 1}
+                assert scalars == signs, (alpha, k)
+
+    def test_rejects_alpha_other_than_sign(self):
+        # x^k = 3 over Z8 squares to one, but its shift multiplies by 3
+        with pytest.raises(ChainRingError):
+            canonical_form(CircVec(Z8.with_alpha(3), 3, (1, 2, 0)))
 
 
 class TestNecklaces:

@@ -177,19 +177,65 @@ class TestNestedLift:
         assert list(nested_lift(base, Z2)) == [base]
 
     def test_matches_preimage_enumeration_z8(self):
+        # two levels, F2 -> Z4 -> Z8: orbits pruned at Z4 drop only copies.
+        # The first bases with lifts are the four k = 4 doubles with
+        # alpha = -1 (32 lifts, 4 orbits each) and three k = 4 bordered with
+        # alpha = 1 (128 lifts, 32 orbits each).
         bases = [
             CodeSpec("double", Z2, k, 1, a)
-            for k in (2, 3)
+            for k in (2, 3, 4)
             for a in helpers.self_dual_double_bases(k)
         ] + [
             CodeSpec("bordered", Z2, k, 1, core, border)
             for k in (2, 3, 4)
             for core, border in helpers.self_dual_bordered_bases(k)
         ]
+        for target, outputs in ((Z8, 16), (Z8.with_alpha(1), 96)):
+            lifted = 0
+            for base in bases:
+                got = list(nested_lift(base, target))
+                assert helpers.covers_preimages_once(base, target, got), (target, base)
+                lifted += len(got)
+            assert lifted == outputs, target
+
+    @pytest.mark.parametrize(
+        "ring, alpha, target",
+        [
+            (Z2, 1, Z4),
+            (Z2, 1, Z4.with_alpha(1)),
+            (F3, 2, Z9),
+            (ChainRing(3, 1, 1), 1, Z9.with_alpha(1)),
+        ],
+        ids=["F2-Z4-nega", "F2-Z4-circ", "F3-Z9-nega", "F3-Z9-circ"],
+    )
+    def test_one_lift_per_orbit(self, ring, alpha, target):
+        # one level: the outputs are the first oracle lift of each orbit, in
+        # solution order, and their orbits cover every preimage exactly once
+        bases = [
+            CodeSpec("double", ring, k, alpha, a)
+            for k in range(1, 5)
+            for a in helpers.self_dual_double_bases(k, ring.p, alpha)
+        ]
+        bases += [
+            CodeSpec("bordered", ring, k, alpha, core, border)
+            for k in range(2, 5)
+            for core, border in helpers.self_dual_bordered_bases(k, ring.p, alpha)
+        ]
         for base in bases:
-            expected = helpers.brute_force_preimages(base, Z8)
-            got = {(spec.a, spec.border) for spec in nested_lift(base, Z8)}
-            assert got == expected, base
+            got = list(nested_lift(base, target))
+            assert helpers.covers_preimages_once(base, target, got), base
+            firsts, covered = [], set()
+            for spec in helpers.all_nested_lifts(base, target):
+                if (spec.a, spec.border) not in covered:
+                    firsts.append(spec)
+                    covered |= helpers.spec_orbit(spec)
+            assert got == firsts, base
+
+    def test_pruning_happens(self):
+        # k = 4 over Z4 has 8 self-dual lifts in 2 orbits
+        base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
+        assert len(helpers.all_nested_lifts(base, Z4)) == 8
+        assert len(list(nested_lift(base, Z4))) == 2
 
     def test_all_outputs_self_dual_and_project(self):
         base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))

@@ -15,6 +15,7 @@ from alphacirc import (
     enumerate_base_codes,
     is_doubly_even,
     is_self_dual,
+    min_lee_distance,
     run_search,
     verify_record,
 )
@@ -166,6 +167,48 @@ class TestRunSearch:
         ck.write_text(json.dumps({"fingerprint": "other", "bases_done": 99}))
         result = run_search(cfg(checkpoint=str(ck)))
         assert result.best_d_lee == 6
+
+    def test_checkpoint_from_per_lift_format_ignored(self, tmp_path):
+        # a checkpoint written when every lift was evaluated holds per-lift
+        # counts and witnesses; the search starts over instead of resuming it
+        ck = tmp_path / "state.json"
+        fresh = run_search(cfg(n=16))
+        old = {
+            "fingerprint": "double-nega:z4:16:1",
+            "bases_done": 1,
+            "best_d_lee": 8,
+            "lifts_examined": 10_000,
+            "records": ["double-nega z4 16 base=0 lift=0 border=- d_lee=8 d_ham_base=4"],
+        }
+        ck.write_text(json.dumps(old))
+        resumed = run_search(cfg(n=16, checkpoint=str(ck)))
+        key = lambda r: (r.base, r.lift, r.border or ())
+        assert resumed.lifts_examined == fresh.lifts_examined
+        assert list(map(key, resumed.all_records)) == list(map(key, fresh.all_records))
+        assert json.loads(ck.read_text())["fingerprint"] == cfg(n=16).fingerprint()
+
+    @pytest.mark.parametrize(
+        "ring, n, family",
+        [
+            ("z4", 8, "double-nega"),
+            ("z4", 8, "bordered-circ"),
+            ("z4", 16, "double-nega"),
+            ("z4", 16, "bordered-circ"),
+            ("z8", 8, "double-nega"),
+            ("z8", 8, "bordered-circ"),
+            ("z9", 12, "double-nega"),
+        ],
+    )
+    def test_no_best_value_lost(self, ring, n, family):
+        # one lift per orbit finds the best d_Lee over every self-dual lift
+        config = cfg(ring=ChainRing.from_name(ring), n=n, family=family, prune=False)
+        target = config.target_ring()
+        best = max(
+            min_lee_distance(lift)
+            for base in enumerate_base_codes(config)
+            for lift in helpers.all_nested_lifts(base, target)
+        )
+        assert run_search(config).best_d_lee == best
 
 
 class TestRecords:
