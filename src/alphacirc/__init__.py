@@ -5,31 +5,19 @@ from .circulant import (
     CircVec,
     CodeSpec,
     cir,
-    circ_mul,
     format_vector,
     generator_matrix,
-    is_alpha_circulant,
     is_self_dual,
     parse_vector,
-    t_alpha,
 )
 from .distance import (
-    gray_image,
     hamming_weight,
     is_doubly_even,
     lee_weight,
     min_hamming_distance,
     min_lee_distance,
 )
-from .equivalence import (
-    MonomialMatrix,
-    MonomialPair,
-    act,
-    canonical_form,
-    necklaces,
-    s_map_pair,
-    type_shift_matrix,
-)
+from .equivalence import canonical_form, necklaces
 from .lifting import (
     BaseNotSelfDual,
     LiftSolutionSet,

@@ -94,13 +94,6 @@ class ChainRing:
             raise ChainRingError(f"{x} is not a unit in Z_{self.size}")
         return pow(x, -1, self.size)
 
-    def units(self) -> list[int]:
-        return [x for x in range(self.size) if x % self.p != 0]
-
-    def square_roots_of_one(self) -> list[int]:
-        """All units lambda with lambda^2 = 1."""
-        return [x for x in self.units() if x * x % self.size == 1]
-
     # --- ideal chain -------------------------------------------------------
 
     def project(self, x: int, levels: int = 1) -> int:
@@ -131,16 +124,3 @@ class ChainRing:
         if self.alpha is not None and xbar == self.alpha % qsize:
             return self.alpha
         return xbar
-
-    def in_minimal_ideal(self, x: int) -> bool:
-        return x % self.size % self.p ** (self.m - 1) == 0
-
-    def minimal_ideal_coords(self, x: int) -> int:
-        """Coordinates of x in the minimal ideal I = (theta^{m-1}) under I ~ F_q."""
-        if not self.in_minimal_ideal(x):
-            raise ChainRingError(f"{x} is not in the minimal ideal of Z_{self.size}")
-        return (x % self.size) // self.p ** (self.m - 1) % self.p
-
-    def ideal_embed(self, u: int) -> int:
-        """Inverse of :meth:`minimal_ideal_coords`: embed F_q into the minimal ideal."""
-        return (u % self.p) * self.p ** (self.m - 1)

@@ -35,9 +35,6 @@ class CircVec:
     def k(self) -> int:
         return len(self.coeffs)
 
-    def same_algebra(self, other: "CircVec") -> bool:
-        return self.ring == other.ring and self.alpha == other.alpha and self.k == other.k
-
 
 @dataclass(frozen=True)
 class CodeSpec:
@@ -65,8 +62,11 @@ class CodeSpec:
             if len(self.a) != self.k:
                 raise ValueError(f"need {self.k} circulant entries, got {len(self.a)}")
         else:
-            if self.border is None:
-                raise ValueError("bordered circulant specs need a (beta, gamma, delta) border")
+            if self.border is None or len(self.border) != 3:
+                raise ValueError(
+                    f"bordered circulant specs need a (beta, gamma, delta) border,"
+                    f" got {self.border!r}"
+                )
             if len(self.a) != self.k - 1:
                 raise ValueError(f"need {self.k - 1} core entries, got {len(self.a)}")
             for b in self.border:
@@ -84,16 +84,6 @@ class CodeSpec:
         return CircVec(self.ring, self.alpha, self.a)
 
 
-def t_alpha(ring: ChainRing, k: int, alpha: int) -> np.ndarray:
-    """The shift matrix T_alpha = cir_alpha(0, 1, 0, ..., 0)."""
-    if k == 1:
-        # multiplication by x is multiplication by alpha in R[x]/(x - alpha)
-        return np.array([[alpha % ring.size]], dtype=np.int64)
-    e1 = [0] * k
-    e1[1] = 1
-    return cir(CircVec(ring, alpha, tuple(e1)))
-
-
 def cir(v: CircVec) -> np.ndarray:
     """Explicit k x k alpha-circulant matrix generated by v.
 
@@ -104,42 +94,6 @@ def cir(v: CircVec) -> np.ndarray:
     a = np.array(v.coeffs, dtype=np.int64)
     r = np.arange(v.k)
     return np.concatenate([v.alpha * a % v.ring.size, a])[v.k + r - r[:, None]]
-
-
-def vec_from_matrix(A: np.ndarray, ring: ChainRing, alpha: int) -> CircVec:
-    """Extract the generating vector (row 0) of an alpha-circulant matrix."""
-    v = CircVec(ring, alpha, tuple(int(x) % ring.size for x in A[0]))
-    if not np.array_equal(cir(v), np.asarray(A) % ring.size):
-        raise ValueError("matrix is not alpha-circulant for this alpha")
-    return v
-
-
-def circ_mul(f: CircVec, g: CircVec) -> CircVec:
-    """Product in R[x]/(x^k - alpha), so that cir(f g) = cir(f) cir(g)."""
-    if not f.same_algebra(g):
-        raise ValueError("operands live in different circulant algebras")
-    k, mod = f.k, f.ring.size
-    out = [0] * k
-    for i, fi in enumerate(f.coeffs):
-        if fi == 0:
-            continue
-        for j, gj in enumerate(g.coeffs):
-            d = i + j
-            term = fi * gj
-            if d >= k:
-                d -= k
-                term *= f.alpha
-            out[d] = (out[d] + term) % mod
-    return CircVec(f.ring, f.alpha, tuple(out))
-
-
-def is_alpha_circulant(A: np.ndarray, ring: ChainRing, alpha: int) -> bool:
-    """True iff A commutes with the shift matrix T_alpha."""
-    A = np.asarray(A) % ring.size
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        return False
-    T = t_alpha(ring, A.shape[0], alpha)
-    return np.array_equal(A @ T % ring.size, T @ A % ring.size)
 
 
 def generator_matrix(spec: CodeSpec) -> np.ndarray:

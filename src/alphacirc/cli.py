@@ -99,9 +99,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_distance(args) -> int:
     border = None if args.border is None else parse_vector(args.border)
-    if border is not None and len(border) != 3:
-        raise ConfigurationError("--border takes exactly three digits")
     # the spec rejects a border on a double family and a bordered one without
+    # exactly three entries
     ring = ChainRing.from_name(args.ring)
     spec = family_spec(args.family, ring, parse_vector(args.vector), border)
     d_lee = min_lee_distance(spec)

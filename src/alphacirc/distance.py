@@ -1,4 +1,4 @@
-"""Lee and Hamming weights, the Gray map, and the minimum-distance certifier.
+"""Lee and Hamming weights and the minimum-distance certifier.
 
 The certifier (after Brouwer and Zimmermann) enumerates the codewords of
 G = (I | A) by increasing weight of their message on each information set:
@@ -37,19 +37,6 @@ def lee_weight(ring: ChainRing, word) -> int:
 
 def hamming_weight(ring: ChainRing, word) -> int:
     return int(np.count_nonzero(np.asarray(word, dtype=np.int64) % ring.size))
-
-
-_GRAY = {0: (0, 0), 1: (0, 1), 2: (1, 1), 3: (1, 0)}
-
-
-def gray_image(ring: ChainRing, word) -> tuple[int, ...]:
-    """Gray map Z4 -> Z2^2 per coordinate; carries Lee weight to Hamming weight."""
-    if ring.size != 4:
-        raise ValueError("the Gray map is defined for Z4 only")
-    out: list[int] = []
-    for c in word:
-        out.extend(_GRAY[int(c) % 4])
-    return tuple(out)
 
 
 @functools.cache

@@ -1,105 +1,29 @@
-"""Monomial pairs acting on circulant generating vectors, orbit canonical
+"""The equivalence group on circulant generating vectors, orbit canonical
 forms, and necklace enumeration.
 
-A monomial matrix is S(sigma) D with S_{ij} = [i == sigma(j)] and D an
-invertible diagonal.  Pairs (N, M) act on circulant matrices by
-A -> N^{-1} A M; the generators used here (shifts, the scalar -1 and the
-substitution maps f(x) -> f((alpha x)^s)) all preserve alpha-circulant
-structure, and with alpha = +-1 their entries are +-1, so they preserve
-self-duality and Lee weight as well.  Every element of the group they
-generate sends a generating vector a to (mult_j * a_{gather_j})_j; the group
-is closed once per (ring, k, alpha, bordered) and cached, and a canonical form
-is the lexicographic minimum over the images of a under all of its elements.
+The paper defines equivalence by monomial pairs (N, M) acting on circulant
+matrices by A -> N^{-1} A M.  The pairs used here (shifts, the scalar -1 and
+the substitution maps f(x) -> f((alpha x)^s)) preserve alpha-circulant
+structure, so each one is a map on generating vectors, given in closed form
+by `shift_right` and `substitute`.  Every element of the group they generate
+sends a generating vector a to (mult_j * a_{gather_j})_j: `_group` reads the
+generators' gather indices and multipliers off their images of the unit
+vectors, closes the group once per (ring, k, alpha, bordered) and caches it.
+With alpha = +-1 every multiplier is +-1, so each element preserves
+self-duality and Lee weight.  A canonical form is the lexicographic minimum
+over the images of a under all of the group's elements.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .chainring import ChainRing, ChainRingError
-from .circulant import CircVec, cir, vec_from_matrix
-
-
-@dataclass(frozen=True)
-class MonomialMatrix:
-    """S(sigma) D with permutation sigma of {0..k-1} and unit diagonal diag."""
-
-    ring: ChainRing
-    sigma: tuple[int, ...]
-    diag: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        k = len(self.sigma)
-        if sorted(self.sigma) != list(range(k)) or len(self.diag) != k:
-            raise ValueError("sigma must be a permutation matching diag in length")
-        for d in self.diag:
-            if not self.ring.is_unit(d):
-                raise ChainRingError(f"diagonal entry {d} is not a unit")
-
-    @property
-    def k(self) -> int:
-        return len(self.sigma)
-
-    @classmethod
-    def identity(cls, ring: ChainRing, k: int) -> "MonomialMatrix":
-        return cls(ring, tuple(range(k)), (1,) * k)
-
-    def to_dense(self) -> np.ndarray:
-        mod = self.ring.size
-        out = np.zeros((self.k, self.k), dtype=np.int64)
-        for j in range(self.k):
-            out[self.sigma[j], j] = self.diag[j] % mod
-        return out
-
-    def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """Matrix product self @ other."""
-        mod = self.ring.size
-        sigma = tuple(self.sigma[other.sigma[j]] for j in range(self.k))
-        diag = tuple(self.diag[other.sigma[j]] * other.diag[j] % mod for j in range(self.k))
-        return MonomialMatrix(self.ring, sigma, diag)
-
-    def inverse(self) -> "MonomialMatrix":
-        inv_sigma = [0] * self.k
-        for j, i in enumerate(self.sigma):
-            inv_sigma[i] = j
-        diag = tuple(self.ring.inv(self.diag[inv_sigma[j]]) for j in range(self.k))
-        return MonomialMatrix(self.ring, tuple(inv_sigma), diag)
-
-    def is_orthogonal(self) -> bool:
-        """M M^t = I_k, equivalent to every diagonal entry squaring to 1."""
-        return all(d * d % self.ring.size == 1 for d in self.diag)
-
-
-@dataclass(frozen=True)
-class MonomialPair:
-    """An element (N, M) of the group acting by A -> N^{-1} A M."""
-
-    N: MonomialMatrix
-    M: MonomialMatrix
-
-    def act_matrix(self, A: np.ndarray) -> np.ndarray:
-        mod = self.N.ring.size
-        Ninv = self.N.inverse().to_dense()
-        return Ninv @ np.asarray(A) @ self.M.to_dense() % mod
-
-    def compose(self, other: "MonomialPair") -> "MonomialPair":
-        return MonomialPair(self.N.compose(other.N), self.M.compose(other.M))
-
-
-def act(pair: MonomialPair, a: CircVec) -> CircVec:
-    """Generating vector of N^{-1} cir(a) M.
-
-    Raises if the pair does not match a's dimensions or does not preserve
-    alpha-circulant structure (i.e. is not a group element for this alpha).
-    """
-    if pair.N.k != a.k or pair.N.ring != a.ring:
-        raise ValueError("monomial pair does not match the vector's algebra")
-    return vec_from_matrix(pair.act_matrix(cir(a)), a.ring, a.alpha)
+from .circulant import CircVec
 
 
 # --- generators -------------------------------------------------------------
@@ -138,85 +62,6 @@ def substitute(a: CircVec, s: int) -> CircVec:
     for i, ai in enumerate(a.coeffs):
         out[s * i % k] = ai * pow(a.alpha, s * i + s * i // k, mod) % mod
     return CircVec(a.ring, a.alpha, tuple(out))
-
-
-def s_map_pair(ring: ChainRing, k: int, alpha: int, s: int) -> MonomialPair:
-    """The pair (M, M) with M = S(sigma) D realizing f(x) -> f((alpha x)^s).
-
-    sigma(i) = s^{-1} i mod k and D_ii = alpha^{s sigma(i) + floor(s sigma(i) / k)},
-    the unique monomial shape (up to a global square-one scalar) solving
-    T M = M alpha^s T^s.  Requires alpha^2 = 1, gcd(s, k) = 1 and the
-    substitution to be well defined; M is then orthogonal.
-    """
-    if alpha * alpha % ring.size != 1:
-        raise ChainRingError(f"alpha = {alpha} must square to 1")
-    _check_substitution_args(k, alpha, s, ring.size)
-    s_inv = pow(s, -1, k) if k > 1 else 0
-    sigma = tuple(s_inv * i % k for i in range(k))
-    diag = tuple(
-        pow(alpha, s * sigma[i] + s * sigma[i] // k, ring.size) for i in range(k)
-    )
-    M = MonomialMatrix(ring, sigma, diag)
-    return MonomialPair(M, M)
-
-
-def type_shift_matrix(ring: ChainRing, k: int, alpha: int, j: int) -> MonomialMatrix:
-    """Diagonal matrix diag(1, alpha^j, ..., alpha^{(k-1)j}).
-
-    Conjugation by it turns an alpha^i-circulant into an alpha^{i-kj}-circulant;
-    it is orthogonal whenever alpha^2 = 1.
-    """
-    if not ring.is_unit(alpha):
-        raise ChainRingError(f"alpha = {alpha} is not a unit")
-    if j < 0:
-        raise ValueError("j must be non-negative")
-    diag = tuple(pow(alpha, i * j, ring.size) for i in range(k))
-    return MonomialMatrix(ring, tuple(range(k)), diag)
-
-
-def shift_pair_right(ring: ChainRing, k: int, alpha: int) -> MonomialPair:
-    from .circulant import t_alpha
-
-    T = _monomial_from_dense(ring, t_alpha(ring, k, alpha))
-    return MonomialPair(MonomialMatrix.identity(ring, k), T)
-
-
-def shift_pair_left(ring: ChainRing, k: int, alpha: int) -> MonomialPair:
-    from .circulant import t_alpha
-
-    T = _monomial_from_dense(ring, t_alpha(ring, k, alpha))
-    return MonomialPair(T, MonomialMatrix.identity(ring, k))
-
-
-def scalar_pair(ring: ChainRing, k: int, lam: int) -> MonomialPair:
-    I = MonomialMatrix.identity(ring, k)
-    return MonomialPair(I, MonomialMatrix(ring, tuple(range(k)), (lam,) * k))
-
-
-def _monomial_from_dense(ring: ChainRing, A: np.ndarray) -> MonomialMatrix:
-    k = A.shape[0]
-    sigma = [0] * k
-    diag = [0] * k
-    for j in range(k):
-        col = np.flatnonzero(A[:, j])
-        if len(col) != 1:
-            raise ValueError("matrix is not monomial")
-        sigma[j] = int(col[0])
-        diag[j] = int(A[sigma[j], j])
-    return MonomialMatrix(ring, tuple(sigma), tuple(diag))
-
-
-def generator_pairs(ring: ChainRing, k: int, alpha: int) -> list[tuple[str, MonomialPair]]:
-    """The group's generators as explicit monomial pairs, for oracle checks."""
-    pairs = [
-        ("shift_right", shift_pair_right(ring, k, alpha)),
-        ("shift_left", shift_pair_left(ring, k, alpha)),
-    ]
-    if ring.size > 2:
-        pairs.append((f"scale_{ring.size - 1}", scalar_pair(ring, k, ring.size - 1)))
-    for s in _substitution_exponents(k, alpha, ring.size):
-        pairs.append((f"s_map_{s}", s_map_pair(ring, k, alpha, s)))
-    return pairs
 
 
 # --- the group and canonical forms ------------------------------------------

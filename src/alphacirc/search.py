@@ -213,10 +213,17 @@ def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
     return bases
 
 
+def _write_atomic(path: str, text: str) -> None:
+    """Write through a temporary file, so a crash mid-write leaves the
+    previous file; the caller serializes before anything is opened."""
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
+
+
 def _write_checkpoint(
     cfg: SearchConfig, done: int, d: int, lifts: int, records: list[SearchRecord]
 ) -> None:
-    """Write atomically, so a crash mid-write leaves the previous checkpoint."""
     if cfg.checkpoint is None:
         return
     saved = {
@@ -226,9 +233,7 @@ def _write_checkpoint(
         "lifts_examined": lifts,
         "records": [r.to_line() for r in records],
     }
-    with open(cfg.checkpoint + ".tmp", "w", encoding="utf-8") as fh:
-        json.dump(saved, fh)
-    os.replace(cfg.checkpoint + ".tmp", cfg.checkpoint)
+    _write_atomic(cfg.checkpoint, json.dumps(saved))
 
 
 def _read_checkpoint(cfg: SearchConfig) -> tuple[int, int, int, list[SearchRecord]]:
@@ -291,11 +296,10 @@ def run_search(cfg: SearchConfig, interrupt_after: int | None = None) -> SearchR
 
 
 def write_records(cfg: SearchConfig, result: SearchResult) -> None:
-    with open(cfg.out, "w", encoding="utf-8") as fh:
-        for rec in result.all_records:
-            fh.write(rec.to_line() + "\n")
-        fh.write(f"# family={cfg.family} ring={cfg.ring.name} n={cfg.n}"
+    lines = [rec.to_line() + "\n" for rec in result.all_records]
+    lines.append(f"# family={cfg.family} ring={cfg.ring.name} n={cfg.n}"
                  f" best_d_lee={result.best_d_lee} witnesses={len(result.records)}\n")
+    _write_atomic(cfg.out, "".join(lines))
 
 
 def read_records(path: str) -> list[SearchRecord]:

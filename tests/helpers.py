@@ -11,8 +11,8 @@ from math import gcd
 
 import numpy as np
 
-from alphacirc import ChainRing, CircVec, CodeSpec, generator_matrix, is_self_dual
-from alphacirc.equivalence import s_map_pair, shift_right, substitute
+from alphacirc import ChainRing, CircVec, CodeSpec, cir, generator_matrix, is_self_dual
+from alphacirc.equivalence import shift_right, substitute
 
 Z2 = ChainRing(2, 1, 1)
 
@@ -117,7 +117,7 @@ def brute_force_lift_vectors(base: CodeSpec, ring: ChainRing) -> set[tuple]:
     from alphacirc.lifting import section_lift_spec
 
     spec0 = section_lift_spec(base, ring)
-    ideal = [ring.ideal_embed(u) for u in range(ring.p)]
+    ideal = [u * ring.size // ring.p for u in range(ring.p)]
     mod = ring.size
     t = len(spec0.a) + (3 if spec0.border is not None else 0)
     found = set()
@@ -262,15 +262,75 @@ def orbit(a: CircVec) -> set[tuple[int, ...]]:
 
 def bordered_orbit(a: CircVec, border: tuple) -> set[tuple[tuple, tuple]]:
     """Orbit of a (core, border) pair under core shifts, the substitutions whose
-    diagonal part is scalar (checked on the matrix form) and simultaneous
-    negation of core and border."""
+    diagonal part is scalar and simultaneous negation of core and border."""
     ring, alpha, k, mod = a.ring, a.alpha, a.k, a.ring.size
     actions = [shift_right, shift_left]
     actions += [
         lambda v, s=s: substitute(v, s)
         for s in _substitution_exponents(k, alpha, mod)
-        if len(set(s_map_pair(ring, k, alpha, s).M.diag)) == 1
+        if len(set(_substitution_diagonal(k, alpha, s, mod))) == 1
     ]
     gens = [lambda st, f=f: (f(CircVec(ring, alpha, st[0])).coeffs, st[1]) for f in actions]
     gens.append(lambda st: (tuple(-c % mod for c in st[0]), tuple(-b % mod for b in st[1])))
     return _closure((a.coeffs, tuple(border)), gens)
+
+
+# --- monomial pairs (N, M), acting on circulants by A -> N^{-1} A M --------
+
+
+def shift_matrix(ring: ChainRing, k: int, alpha: int) -> np.ndarray:
+    """T_alpha = cir(0, 1, 0, ..., 0); for k = 1, x = alpha in R[x]/(x - alpha)."""
+    if k == 1:
+        return np.array([[alpha % ring.size]])
+    return cir(CircVec(ring, alpha, (0, 1) + (0,) * (k - 2)))
+
+
+def _substitution_diagonal(k: int, alpha: int, s: int, mod: int) -> list[int]:
+    """The multiplier alpha^{s i + floor(s i / k)} that x^i picks up under
+    x -> (alpha x)^s, for i = 0..k-1."""
+    return [pow(alpha, s * i + s * i // k, mod) for i in range(k)]
+
+
+def generator_pairs(ring: ChainRing, k: int, alpha: int) -> list[tuple[str, tuple]]:
+    """The group's generators as dense pairs (N, M): shifts both ways, the
+    scalar -1, and (M, M) with M e_i = alpha^{s i + floor(s i / k)} e_{s i}
+    for each admissible substitution s."""
+    mod = ring.size
+    I, T = np.eye(k, dtype=np.int64), shift_matrix(ring, k, alpha)
+    pairs = [("shift_right", (I, T)), ("shift_left", (T, I))]
+    if mod > 2:
+        pairs.append((f"scale_{mod - 1}", (I, (mod - 1) * I)))
+    for s in _substitution_exponents(k, alpha, mod):
+        M = np.zeros((k, k), dtype=np.int64)
+        M[range(k), [s * i % k for i in range(k)]] = _substitution_diagonal(k, alpha, s, mod)
+        pairs.append((f"s_map_{s}", (M, M)))
+    return pairs
+
+
+def type_shift(ring: ChainRing, k: int, alpha: int, j: int) -> np.ndarray:
+    """diag(1, alpha^j, ..., alpha^{(k-1)j}): conjugation by it turns an
+    alpha^i-circulant into an alpha^{i-kj}-circulant."""
+    return np.diag([pow(alpha, i * j, ring.size) for i in range(k)])
+
+
+def act(pair: tuple, a: CircVec) -> np.ndarray:
+    """N^{-1} cir(a) M mod q.  A monomial N is inverted by transposing it and
+    inverting its entries: for +-1 entries that is the transpose alone."""
+    N, M = pair
+    mod = a.ring.size
+    N_inv = np.array([[pow(int(x), -1, mod) if x % mod else 0 for x in row] for row in N.T])
+    return N_inv @ cir(a) @ M % mod
+
+
+def is_alpha_circulant(A: np.ndarray, ring: ChainRing, alpha: int) -> bool:
+    """Whether A is the alpha-circulant generated by its first row."""
+    A = np.asarray(A) % ring.size
+    return np.array_equal(A, cir(CircVec(ring, alpha, tuple(int(x) for x in A[0]))))
+
+
+GRAY = ((0, 0), (0, 1), (1, 1), (1, 0))
+
+
+def gray_image(word) -> tuple[int, ...]:
+    """Gray map Z4 -> Z2^2 per coordinate; carries Lee weight to Hamming weight."""
+    return tuple(bit for c in word for bit in GRAY[c % 4])

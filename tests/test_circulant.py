@@ -3,21 +3,18 @@ import random
 import numpy as np
 import pytest
 
+import helpers
 from alphacirc import (
     ChainRing,
     ChainRingError,
     CircVec,
     CodeSpec,
     cir,
-    circ_mul,
     format_vector,
     generator_matrix,
-    is_alpha_circulant,
     is_self_dual,
     parse_vector,
-    t_alpha,
 )
-from alphacirc.circulant import vec_from_matrix
 
 Z2 = ChainRing(2, 1, 1)
 Z4 = ChainRing(2, 2, 3)
@@ -34,9 +31,12 @@ class TestCir:
         assert A.tolist() == [[1, 2, 0], [0, 1, 2], [2, 0, 1]]
 
     def test_unit_vector_gives_shift_matrix(self):
+        # ones above the diagonal and alpha in the bottom-left corner
         for ring, k, alpha in [(Z4, 4, 3), (Z2, 5, 1), (Z9, 3, 8)]:
             e1 = (0, 1) + (0,) * (k - 2)
-            assert np.array_equal(cir(CircVec(ring, alpha, e1)), t_alpha(ring, k, alpha))
+            T = np.eye(k, k=1, dtype=np.int64)
+            T[k - 1, 0] = alpha
+            assert np.array_equal(cir(CircVec(ring, alpha, e1)), T)
 
     def test_constant_one_is_identity(self):
         assert np.array_equal(cir(CircVec(Z2, 1, (1, 0))), np.eye(2))
@@ -47,50 +47,50 @@ class TestCir:
 
 
 class TestCircMul:
+    """Products of alpha-circulants are the circulants of the products in
+    R[x]/(x^k - alpha)."""
+
     def test_x_squared_is_alpha(self):
-        prod = circ_mul(CircVec(Z4, 3, (0, 1)), CircVec(Z4, 3, (0, 1)))
-        assert prod.coeffs == (3, 0)
+        x = cir(CircVec(Z4, 3, (0, 1)))
+        assert np.array_equal(x @ x % 4, cir(CircVec(Z4, 3, (3, 0))))
 
     def test_one_plus_x_squared_matches_matrix_product(self):
-        f = CircVec(Z4, 3, (1, 1))
-        prod = circ_mul(f, f)
-        assert prod.coeffs == (0, 2)
-        M = cir(f)
+        M = cir(CircVec(Z4, 3, (1, 1)))
         assert M.tolist() == [[1, 1], [3, 1]]
         assert (M @ M % 4).tolist() == [[0, 2], [2, 0]]
-        assert np.array_equal(cir(prod), M @ M % 4)
+        assert np.array_equal(M @ M % 4, cir(CircVec(Z4, 3, (0, 2))))
 
     def test_multiplicative_identity(self):
         rng = random.Random(0)
-        one = CircVec(Z4, 3, (1, 0, 0, 0))
+        one = cir(CircVec(Z4, 3, (1, 0, 0, 0)))
         for _ in range(20):
-            f = rand_vec(Z4, 4, 3, rng)
-            assert circ_mul(f, one).coeffs == f.coeffs
-
-    def test_mismatched_algebras(self):
-        with pytest.raises(ValueError):
-            circ_mul(CircVec(Z4, 3, (1, 0)), CircVec(Z4, 3, (1, 0, 0)))
-        with pytest.raises(ValueError):
-            circ_mul(CircVec(Z4, 3, (1, 0)), CircVec(Z4, 1, (1, 0)))
+            f = cir(rand_vec(Z4, 4, 3, rng))
+            assert np.array_equal(f @ one % 4, f)
 
 
 class TestIsAlphaCirculant:
+    """The first-row oracle in `helpers` against commuting with T_alpha."""
+
     def test_shift_matrix(self):
-        assert is_alpha_circulant(t_alpha(Z4, 4, 3), Z4, 3)
+        assert helpers.is_alpha_circulant(helpers.shift_matrix(Z4, 4, 3), Z4, 3)
 
     def test_derived_true_case(self):
-        assert is_alpha_circulant(np.array([[0, 2], [2, 0]]), Z4, 3)
+        A, T = np.array([[0, 2], [2, 0]]), helpers.shift_matrix(Z4, 2, 3)
+        assert helpers.is_alpha_circulant(A, Z4, 3)
+        assert np.array_equal(A @ T % 4, T @ A % 4)
 
     def test_derived_false_case(self):
-        assert not is_alpha_circulant(np.array([[1, 0], [1, 1]]), Z4, 3)
+        A, T = np.array([[1, 0], [1, 1]]), helpers.shift_matrix(Z4, 2, 3)
+        assert not helpers.is_alpha_circulant(A, Z4, 3)
+        assert not np.array_equal(A @ T % 4, T @ A % 4)
 
     def test_extraction_roundtrip(self):
         rng = random.Random(1)
         for _ in range(50):
             v = rand_vec(Z4, 5, 3, rng)
             A = cir(v)
-            assert is_alpha_circulant(A, Z4, 3)
-            assert vec_from_matrix(A, Z4, 3).coeffs == v.coeffs
+            assert helpers.is_alpha_circulant(A, Z4, 3)
+            assert tuple(A[0].tolist()) == v.coeffs
 
 
 class TestGeneratorMatrix:
@@ -106,6 +106,11 @@ class TestGeneratorMatrix:
         G = generator_matrix(spec)
         assert G[0, 4:].tolist() == [2, 1, 1, 1]
         assert G[1:, 4].tolist() == [3, 3, 3]
+
+    def test_bordered_border_needs_three_entries(self):
+        for border in ((2, 1), (2, 1, 3, 0)):
+            with pytest.raises(ValueError):
+                CodeSpec("bordered", Z4, 4, 1, (1, 2, 3), border=border)
 
     def test_double_z4_rows(self):
         spec = CodeSpec("double", Z4, 4, 3, (1, 3, 3, 0))
@@ -151,11 +156,12 @@ class TestAlgebraProperties:
                 cir(CircVec(ring, alpha, tuple(lam * x % mod for x in f.coeffs))),
                 lam * cir(f) % mod,
             )
-            assert np.array_equal(cir(circ_mul(f, g)), cir(f) @ cir(g) % mod)
+            # cir(f g) = cir(f) cir(g): the product is the circulant of its first row
+            assert helpers.is_alpha_circulant(cir(f) @ cir(g) % mod, ring, alpha)
 
     def test_shift_matrix_power(self):
         for ring, k, alpha in [(Z4, 4, 3), (Z9, 5, 8), (Z4, 3, 1)]:
-            T = t_alpha(ring, k, alpha)
+            T = helpers.shift_matrix(ring, k, alpha)
             P = np.linalg.matrix_power(T, k) % ring.size
             assert np.array_equal(P, alpha * np.eye(k, dtype=np.int64) % ring.size)
 
@@ -164,7 +170,7 @@ class TestAlgebraProperties:
         for _ in range(100):
             k = rng.randrange(2, 6)
             v = rand_vec(Z4, k, 3, rng)
-            T = t_alpha(Z4, k, 3)
+            T = helpers.shift_matrix(Z4, k, 3)
             acc = np.zeros((k, k), dtype=np.int64)
             P = np.eye(k, dtype=np.int64)
             for c in v.coeffs:

@@ -20,7 +20,7 @@ from alphacirc import (
     verify_record,
 )
 from alphacirc.cli import main
-from alphacirc.search import read_records
+from alphacirc.search import read_records, write_records
 
 Z4 = ChainRing(2, 2)
 
@@ -146,6 +146,26 @@ class TestRunSearch:
         records = read_records(str(out))
         assert len(records) == len(result.all_records)
 
+    def test_results_file_survives_failed_write(self, tmp_path, monkeypatch):
+        out = tmp_path / "records.txt"
+        config = cfg(family="bordered-circ", out=str(out))
+        result = run_search(config)
+        assert len(result.all_records) >= 2
+        before = out.read_bytes()
+        to_line, calls = SearchRecord.to_line, []
+
+        def fail_on_second_record(rec):
+            calls.append(rec)
+            if len(calls) > 1:
+                raise RuntimeError("serialization failed")
+            return to_line(rec)
+
+        monkeypatch.setattr(SearchRecord, "to_line", fail_on_second_record)
+        with pytest.raises(RuntimeError):
+            write_records(config, result)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["records.txt"]
+
     def test_checkpoint_resume(self, tmp_path):
         ck = tmp_path / "state.json"
         config = cfg(n=16, checkpoint=str(ck), prune=False)
@@ -265,6 +285,17 @@ class TestCli:
         )
         assert main(["verify", "--in", str(bad)]) == 2
 
+    def test_verify_short_border_fails_its_line_only(self, tmp_path, capsys):
+        records = tmp_path / "records.txt"
+        records.write_text(
+            "bordered-circ z4 8 base=0,1,1 lift=2,3,1 border=2,1 d_lee=6 d_ham_base=4\n"
+            "bordered-circ z4 8 base=0,1,1 lift=2,3,1 border=2,1,1 d_lee=6 d_ham_base=4\n"
+        )
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL line 1" in captured.err and "FAIL line 2" not in captured.err
+        assert "checked 2 records, 1 failures" in captured.out
+
     def test_distance(self, capsys):
         code = main([
             "distance", "--ring", "z4", "--family", "double-nega",
@@ -279,6 +310,14 @@ class TestCli:
             "--vector", "1,1,0",
         ])
         assert code == 1
+
+    def test_distance_short_border(self, capsys):
+        code = main([
+            "distance", "--ring", "z4", "--family", "bordered-circ",
+            "--vector", "1,1,0", "--border", "0,1",
+        ])
+        assert code == 1
+        assert "border" in capsys.readouterr().err
 
     def test_canon(self, capsys):
         code = main([
