@@ -10,13 +10,7 @@ from .circulant import (
     is_self_dual,
     parse_vector,
 )
-from .distance import (
-    hamming_weight,
-    is_doubly_even,
-    lee_weight,
-    min_hamming_distance,
-    min_lee_distance,
-)
+from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form, necklaces
 from .lifting import (
     BaseNotSelfDual,

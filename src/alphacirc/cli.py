@@ -111,8 +111,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_canon(args) -> int:
     ring = ChainRing.from_name(args.ring)
-    v = CircVec(ring.with_alpha(args.alpha % ring.size), args.alpha % ring.size,
-                parse_vector(args.vector))
+    v = CircVec(ring, args.alpha % ring.size, parse_vector(args.vector))
     print(format_vector(canonical_form(v).coeffs))
     return 0
 

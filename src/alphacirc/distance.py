@@ -1,4 +1,4 @@
-"""Lee and Hamming weights and the minimum-distance certifier.
+"""Lee weights and the minimum-distance certifier.
 
 The certifier (after Brouwer and Zimmermann) enumerates the codewords of
 G = (I | A) by increasing weight of their message on each information set:
@@ -28,15 +28,6 @@ def lee_table(ring: ChainRing) -> np.ndarray:
     mod = ring.size
     v = np.arange(mod)
     return np.minimum(v, mod - v)
-
-
-def lee_weight(ring: ChainRing, word) -> int:
-    table = lee_table(ring)
-    return int(table[np.asarray(word, dtype=np.int64) % ring.size].sum())
-
-
-def hamming_weight(ring: ChainRing, word) -> int:
-    return int(np.count_nonzero(np.asarray(word, dtype=np.int64) % ring.size))
 
 
 @functools.cache

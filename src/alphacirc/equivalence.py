@@ -35,18 +35,10 @@ def shift_right(a: CircVec) -> CircVec:
     return CircVec(a.ring, a.alpha, (last,) + a.coeffs[:-1])
 
 
-def _check_substitution_args(k: int, alpha: int, s: int, mod: int) -> None:
-    if gcd(s, k) != 1 or not 0 <= s < k:
-        raise ValueError(f"s = {s} must be in [0, k) and coprime to k = {k}")
-    # x -> (alpha x)^s respects x^k = alpha only when alpha^{s(k+1)-1} = 1
-    if pow(alpha, s * (k + 1) - 1, mod) != 1:
-        raise ValueError(
-            f"substitution by s = {s} is not well defined for alpha = {alpha}, k = {k}"
-        )
-
-
 def _substitution_exponents(k: int, alpha: int, mod: int) -> list[int]:
-    """The s in [1, k) whose substitution map is well defined."""
+    """The s in [1, k) whose substitution map is well defined: s is coprime
+    to k, and x -> (alpha x)^s respects x^k = alpha exactly when
+    alpha^{s(k+1)-1} = 1."""
     return [s for s in range(1, k) if gcd(s, k) == 1 and pow(alpha, s * (k + 1) - 1, mod) == 1]
 
 
@@ -57,7 +49,10 @@ def substitute(a: CircVec, s: int) -> CircVec:
     extra factor alpha^{s*i + floor(s*i / k)}.
     """
     k, mod = a.k, a.ring.size
-    _check_substitution_args(k, a.alpha, s, mod)
+    if s not in _substitution_exponents(k, a.alpha, mod):
+        raise ValueError(
+            f"substitution by s = {s} is not well defined for alpha = {a.alpha}, k = {k}"
+        )
     out = [0] * k
     for i, ai in enumerate(a.coeffs):
         out[s * i % k] = ai * pow(a.alpha, s * i + s * i // k, mod) % mod

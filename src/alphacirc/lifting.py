@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chainring import ChainRing
+from .chainring import ChainRing, ChainRingError
 from .circulant import CircVec, CodeSpec, gram_matrix
 from .equivalence import canonical_form, canonical_form_bordered
 
@@ -78,30 +78,32 @@ def _with_coords(spec: CodeSpec, ring: ChainRing, alpha: int, coords) -> CodeSpe
     return CodeSpec(spec.kind, ring, spec.k, alpha, tuple(coords[:nc]), border)
 
 
-def section_lift_spec(base: CodeSpec, ring: ChainRing) -> CodeSpec:
-    """The spec over R whose generator matrix is G_0 = the e-section lift."""
+def section_lift_spec(base: CodeSpec, ring: ChainRing, alpha: int) -> CodeSpec:
+    """The spec over R whose generator matrix is G_0, the section lift of the
+    base: a coordinate equal to the base alpha lifts to `alpha`, every other
+    one to its least residue, so lifted alpha-entries stay exactly alpha."""
+    if not 0 <= alpha < ring.size or alpha * alpha % ring.size != 1:
+        raise ChainRingError(f"alpha = {alpha} is not a square root of 1 in Z_{ring.size}")
     if base.ring != ring.quotient(1):
         raise ValueError("base spec must live over R/I for the target ring R")
-    alpha = ring.alpha if ring.alpha is not None else 1
     if base.alpha != alpha % base.ring.size:
         raise ValueError("base alpha is not the projection of the target alpha")
-    coords = [ring.section_e(c) for c in _coords(base)]
+    coords = [alpha if c == base.alpha else c for c in _coords(base)]
     return _with_coords(base, ring, alpha, coords)
 
 
-def build_lift_system(base: CodeSpec, ring: ChainRing) -> LiftSystem:
-    """Assemble the F_q system from Gram differences.
+def build_lift_system(spec0: CodeSpec) -> LiftSystem:
+    """Assemble the F_q system of the section lift `spec0` from Gram differences.
 
-    One equation per Gram entry (i, j), i <= j, of the section lift G_0.
-    Column v is (Gram of G_0 with coordinate v raised by theta^{m-1}) minus
-    (Gram of G_0), divided by theta^{m-1} and reduced mod theta; the rhs is
-    minus Gram(G_0) / theta^{m-1}.  Duplicate equations are left to row
-    reduction.
+    One equation per Gram entry (i, j), i <= j, of G_0.  Column v is (Gram
+    of G_0 with coordinate v raised by theta^{m-1}) minus (Gram of G_0),
+    divided by theta^{m-1} and reduced mod theta; the rhs is minus
+    Gram(G_0) / theta^{m-1}.  Duplicate equations are left to row reduction.
     """
-    spec0 = section_lift_spec(base, ring)
+    ring = spec0.ring
     mod, p = ring.size, ring.p
     ideal_gen = p ** (ring.m - 1)
-    upper = np.triu_indices(base.k)
+    upper = np.triu_indices(spec0.k)
     gram0 = gram_matrix(spec0)[upper]
     outside = np.flatnonzero(gram0 % ideal_gen)
     if outside.size:
@@ -138,9 +140,9 @@ def solve_lift_system(system: LiftSystem) -> LiftSolutionSet:
     )
 
 
-def enumerate_lifts(base: CodeSpec, ring: ChainRing, sols: LiftSolutionSet):
-    """Yield the self-dual lift specs e(base) + theta^{m-1} u over R."""
-    spec0 = section_lift_spec(base, ring)
+def enumerate_lifts(spec0: CodeSpec, sols: LiftSolutionSet):
+    """Yield the self-dual lift specs spec0 + theta^{m-1} u over R."""
+    ring = spec0.ring
     mod = ring.size
     ideal_gen = ring.p ** (ring.m - 1)
     coords0 = _coords(spec0)
@@ -149,9 +151,11 @@ def enumerate_lifts(base: CodeSpec, ring: ChainRing, sols: LiftSolutionSet):
         yield _with_coords(spec0, ring, spec0.alpha, coords)
 
 
-def self_dual_lifts(base: CodeSpec, ring: ChainRing):
-    """Build, solve and enumerate in one step."""
-    return enumerate_lifts(base, ring, solve_lift_system(build_lift_system(base, ring)))
+def self_dual_lifts(base: CodeSpec, ring: ChainRing, alpha: int):
+    """The self-dual lifts of `base` to `ring` whose alpha is `alpha`: build
+    the section lift once, then build, solve and enumerate its system."""
+    spec0 = section_lift_spec(base, ring, alpha)
+    return enumerate_lifts(spec0, solve_lift_system(build_lift_system(spec0)))
 
 
 def _one_per_orbit(specs):
@@ -168,7 +172,7 @@ def _one_per_orbit(specs):
             yield spec
 
 
-def nested_lift(base: CodeSpec, ring: ChainRing):
+def nested_lift(base: CodeSpec, ring: ChainRing, alpha: int):
     """One self-dual spec over R per equivalence class of those projecting
     to the base-field spec.
 
@@ -181,19 +185,21 @@ def nested_lift(base: CodeSpec, ring: ChainRing):
     only copies: an element of the group maps the self-dual lifts of L onto
     those of its image, and the group of each level projects onto the one
     below.  The kept spec is the lift itself, not its canonical form, so it
-    still projects to the base.  The target's alpha must be +-1: canonical
-    forms reject any other square root of one (3 or 5 over Z8), whose shift
-    is no Lee isometry.
+    still projects to the base.  The target `alpha`, reduced mod p^level at
+    each level, must be +-1: canonical forms reject any other square root
+    of one (3 or 5 over Z8), whose shift is no Lee isometry.
     """
     if base.ring.m != 1 or base.ring.p != ring.p:
         raise ValueError("nested lifting starts from a spec over the residue field")
+    if base.alpha != alpha % ring.p:
+        raise ValueError("base alpha is not the projection of the target alpha")
     current = [base]
     for level in range(2, ring.m + 1):
-        target = ChainRing(
-            ring.p,
-            level,
-            None if ring.alpha is None else ring.alpha % ring.p**level,
+        target = ChainRing(ring.p, level)
+        lifts = (
+            lift
+            for spec in current
+            for lift in self_dual_lifts(spec, target, alpha % target.size)
         )
-        lifts = (lift for spec in current for lift in self_dual_lifts(spec, target))
         current = list(_one_per_orbit(lifts))
     yield from current

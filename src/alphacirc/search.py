@@ -38,10 +38,6 @@ def _kind_and_alpha(family: str, ring: ChainRing) -> tuple[str, int]:
     return kind, ring.size - 1 if family == "double-nega" else 1
 
 
-def _residue_field(ring: ChainRing) -> ChainRing:
-    return ring if ring.m == 1 else ring.quotient(ring.m - 1)
-
-
 def family_spec(
     family: str, ring: ChainRing, a: tuple[int, ...], border: tuple[int, int, int] | None = None
 ) -> CodeSpec:
@@ -49,7 +45,7 @@ def family_spec(
     codes) and `border`; k follows from the length of `a`."""
     kind, alpha = _kind_and_alpha(family, ring)
     k = len(a) + (kind == "bordered")
-    return CodeSpec(kind, ring.with_alpha(alpha), k, alpha, a, border)
+    return CodeSpec(kind, ring, k, alpha, a, border)
 
 
 @dataclass(frozen=True)
@@ -95,11 +91,8 @@ class SearchConfig:
     def alpha(self) -> int:
         return _kind_and_alpha(self.family, self.ring)[1]
 
-    def target_ring(self) -> ChainRing:
-        return self.ring.with_alpha(self.alpha)
-
     def base_ring(self) -> ChainRing:
-        return _residue_field(self.target_ring())
+        return ChainRing(self.ring.p, 1)
 
     def fingerprint(self) -> str:
         """Identifies the search a checkpoint belongs to.  The trailing format
@@ -153,7 +146,7 @@ class SearchRecord:
         return family_spec(self.family, ChainRing.from_name(self.ring_name), self.lift, self.border)
 
     def base_spec(self) -> CodeSpec:
-        residue = _residue_field(ChainRing.from_name(self.ring_name))
+        residue = ChainRing(ChainRing.from_name(self.ring_name).p, 1)
         border = None if self.border is None else tuple(b % residue.p for b in self.border)
         return family_spec(self.family, residue, self.base, border)
 
@@ -183,7 +176,7 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
     property of the base.
     """
     ring = cfg.base_ring()
-    alpha, k, kind = ring.alpha, cfg.k, cfg.kind
+    alpha, k, kind = cfg.alpha % ring.p, cfg.k, cfg.kind
     need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2
     if kind == "double":
         candidates = itertools.product(necklaces(k, ring.p), [None])
@@ -252,18 +245,15 @@ def _read_checkpoint(cfg: SearchConfig) -> tuple[int, int, int, list[SearchRecor
     return (*counts, records)
 
 
-def run_search(cfg: SearchConfig, interrupt_after: int | None = None) -> SearchResult:
-    """The main loop: bases in descending d_Ham order, stop at 2 d_Ham <= d.
-
-    `interrupt_after` (bases) exists to exercise checkpoint/resume in tests.
-    """
+def run_search(cfg: SearchConfig) -> SearchResult:
+    """The main loop: bases in descending d_Ham order, stop at 2 d_Ham <= d."""
     bases = _sorted_bases(cfg)
     start_at, d, lifts_examined, all_records = _read_checkpoint(cfg)
     done = start_at
     for base, d_ham in bases[start_at:]:
         if cfg.prune and 2 * d_ham <= d:
             break
-        for lift in nested_lift(base, cfg.target_ring()):
+        for lift in nested_lift(base, cfg.ring, cfg.alpha):
             lifts_examined += 1
             val = min_lee_distance(lift, early_abort_at=d if cfg.prune and d > 0 else None)
             if val >= d:
@@ -284,8 +274,6 @@ def run_search(cfg: SearchConfig, interrupt_after: int | None = None) -> SearchR
                 )
         done += 1
         _write_checkpoint(cfg, done, d, lifts_examined, all_records)
-        if interrupt_after is not None and done - start_at >= interrupt_after:
-            raise KeyboardInterrupt(f"interrupted after {done} bases")
 
     result = SearchResult(
         best_d_lee=d, all_records=all_records, bases_examined=done, lifts_examined=lifts_examined

@@ -14,7 +14,16 @@ import numpy as np
 from alphacirc import ChainRing, CircVec, CodeSpec, cir, generator_matrix, is_self_dual
 from alphacirc.equivalence import shift_right, substitute
 
-Z2 = ChainRing(2, 1, 1)
+Z2 = ChainRing(2, 1)
+
+
+def lee_weight(ring: ChainRing, word) -> int:
+    v = np.asarray(word, dtype=np.int64) % ring.size
+    return int(np.minimum(v, ring.size - v).sum())
+
+
+def hamming_weight(ring: ChainRing, word) -> int:
+    return int(np.count_nonzero(np.asarray(word, dtype=np.int64) % ring.size))
 
 
 def naive_min_weight(spec: CodeSpec, weight: str = "lee") -> int:
@@ -111,12 +120,12 @@ def mitm_min_lee_z4(G: np.ndarray, early_abort_at: int | None = None) -> int:
     return best
 
 
-def brute_force_lift_vectors(base: CodeSpec, ring: ChainRing) -> set[tuple]:
-    """All self-dual lifts of a base spec, found by trying every vector of
-    minimal-ideal perturbations.  Returns {(a, border)} keys."""
+def brute_force_lift_vectors(base: CodeSpec, ring: ChainRing, alpha: int) -> set[tuple]:
+    """All self-dual lifts of a base spec with alpha `alpha`, found by trying
+    every vector of minimal-ideal perturbations.  Returns {(a, border)} keys."""
     from alphacirc.lifting import section_lift_spec
 
-    spec0 = section_lift_spec(base, ring)
+    spec0 = section_lift_spec(base, ring, alpha)
     ideal = [u * ring.size // ring.p for u in range(ring.p)]
     mod = ring.size
     t = len(spec0.a) + (3 if spec0.border is not None else 0)
@@ -132,12 +141,12 @@ def brute_force_lift_vectors(base: CodeSpec, ring: ChainRing) -> set[tuple]:
     return found
 
 
-def brute_force_preimages(base: CodeSpec, ring: ChainRing) -> set[tuple]:
-    """All self-dual specs over R whose entrywise projection is the base-field
-    spec (any preimage digits, not just minimal-ideal shifts)."""
+def brute_force_preimages(base: CodeSpec, ring: ChainRing, alpha: int) -> set[tuple]:
+    """All self-dual specs over R with alpha `alpha` whose entrywise
+    projection is the base-field spec (any preimage digits, not just
+    minimal-ideal shifts)."""
     p, mod = ring.p, ring.size
     step = mod // p
-    alpha = ring.alpha if ring.alpha is not None else 1
 
     def preimages(c):
         return [c + p * j for j in range(step)]
@@ -155,16 +164,18 @@ def brute_force_preimages(base: CodeSpec, ring: ChainRing) -> set[tuple]:
     return found
 
 
-def all_nested_lifts(base: CodeSpec, ring: ChainRing) -> list[CodeSpec]:
-    """Every self-dual spec over R projecting to the base-field spec:
-    `self_dual_lifts` chained through the quotient chain, with no orbit
-    pruning, in solution order."""
+def all_nested_lifts(base: CodeSpec, ring: ChainRing, alpha: int) -> list[CodeSpec]:
+    """Every self-dual spec over R with alpha `alpha` projecting to the
+    base-field spec: `self_dual_lifts` chained through the quotient chain,
+    with no orbit pruning, in solution order."""
     from alphacirc.lifting import self_dual_lifts
 
     current = [base]
     for level in range(2, ring.m + 1):
-        target = ring if level == ring.m else ring.quotient(ring.m - level)
-        current = [lift for spec in current for lift in self_dual_lifts(spec, target)]
+        target = ChainRing(ring.p, level)
+        current = [
+            lift for spec in current for lift in self_dual_lifts(spec, target, alpha % target.size)
+        ]
     return current
 
 
@@ -176,9 +187,12 @@ def spec_orbit(spec: CodeSpec) -> set[tuple]:
     return bordered_orbit(v, spec.border)
 
 
-def covers_preimages_once(base: CodeSpec, ring: ChainRing, specs: list[CodeSpec]) -> bool:
+def covers_preimages_once(
+    base: CodeSpec, ring: ChainRing, alpha: int, specs: list[CodeSpec]
+) -> bool:
     """Whether the orbits of `specs` are pairwise disjoint and, among the
-    specs projecting to `base`, cover exactly its self-dual preimages over R."""
+    specs projecting to `base`, cover exactly its self-dual preimages over R
+    with alpha `alpha`."""
     orbits = [spec_orbit(spec) for spec in specs]
     covered = set().union(*orbits)
     p, flat = base.ring.p, base.a + (base.border or ())
@@ -187,12 +201,12 @@ def covers_preimages_once(base: CodeSpec, ring: ChainRing, specs: list[CodeSpec]
         return tuple(c % p for c in key[0] + (key[1] or ())) == flat
 
     disjoint = sum(map(len, orbits)) == len(covered)
-    return disjoint and set(filter(projects, covered)) == brute_force_preimages(base, ring)
+    return disjoint and set(filter(projects, covered)) == brute_force_preimages(base, ring, alpha)
 
 
 def self_dual_double_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
     """All generating vectors of self-dual double circulant codes over F_p."""
-    ring = ChainRing(p, 1, alpha)
+    ring = ChainRing(p, 1)
     out = []
     for a in itertools.product(range(p), repeat=k):
         if is_self_dual(CodeSpec("double", ring, k, alpha, a)):
@@ -202,7 +216,7 @@ def self_dual_double_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
 
 def self_dual_bordered_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
     """All (core, border) pairs of self-dual bordered circulant codes over F_p."""
-    ring = ChainRing(p, 1, alpha)
+    ring = ChainRing(p, 1)
     out = []
     for core in itertools.product(range(p), repeat=k - 1):
         for border in itertools.product(range(p), repeat=3):
@@ -213,7 +227,7 @@ def self_dual_bordered_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
 
 def shift_left(a: CircVec) -> CircVec:
     """Image under (T_alpha, I): multiplication by alpha^{-1} x^{k-1}."""
-    inv_alpha = a.ring.inv(a.alpha)
+    inv_alpha = pow(a.alpha, -1, a.ring.size)
     first = a.coeffs[0] * inv_alpha % a.ring.size
     return CircVec(a.ring, a.alpha, a.coeffs[1:] + (first,))
 

@@ -20,10 +20,8 @@ from alphacirc import (
     canonical_form,
     cir,
     generator_matrix,
-    hamming_weight,
     is_doubly_even,
     is_self_dual,
-    lee_weight,
     min_hamming_distance,
     min_lee_distance,
     nested_lift,
@@ -32,13 +30,13 @@ from alphacirc import (
     verify_record,
 )
 from alphacirc.equivalence import substitute
-from alphacirc.lifting import build_lift_system, solve_lift_system
+from alphacirc.lifting import build_lift_system, section_lift_spec, solve_lift_system
 
-Z2 = ChainRing(2, 1, 1)
-Z4 = ChainRing(2, 2, 3)
-Z8 = ChainRing(2, 3, 7)
-F3 = ChainRing(3, 1, 2)
-Z9 = ChainRing(3, 2, 8)
+Z2 = ChainRing(2, 1)
+Z4 = ChainRing(2, 2)
+Z8 = ChainRing(2, 3)
+F3 = ChainRing(3, 1)
+Z9 = ChainRing(3, 2)
 
 TABLE = {8: 6, 16: 8, 24: 12}
 
@@ -73,12 +71,12 @@ def test_criterion_2_lift_oracle_equivalence():
     for k in range(1, 5):
         for a in helpers.self_dual_double_bases(k):
             base = CodeSpec("double", Z2, k, 1, a)
-            expected = helpers.brute_force_lift_vectors(base, Z4)
-            got = {(s.a, s.border) for s in self_dual_lifts(base, Z4)}
+            expected = helpers.brute_force_lift_vectors(base, Z4, 3)
+            got = {(s.a, s.border) for s in self_dual_lifts(base, Z4, 3)}
             ok &= got == expected
     # the worked k = 4 case: 8 solutions cut out by u0 + u2 = 1
     sols = solve_lift_system(
-        build_lift_system(CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0)), Z4)
+        build_lift_system(section_lift_spec(CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0)), Z4, 3))
     )
     ok &= sols.count == 8
     ok &= all((u[0] + u[2]) % 2 == 1 for u in sols.solutions())
@@ -86,8 +84,8 @@ def test_criterion_2_lift_oracle_equivalence():
     for k in range(1, 4):
         for a in helpers.self_dual_double_bases(k, p=3, alpha=2):
             base = CodeSpec("double", F3, k, 2, a)
-            expected = helpers.brute_force_lift_vectors(base, Z9)
-            got = {(s.a, s.border) for s in self_dual_lifts(base, Z9)}
+            expected = helpers.brute_force_lift_vectors(base, Z9, 8)
+            got = {(s.a, s.border) for s in self_dual_lifts(base, Z9, 8)}
             ok &= got == expected
     # nested lifting F2 -> Z8 at k <= 4 against full preimage enumeration:
     # one output per orbit, and the orbits cover every preimage (k = 4 is
@@ -95,7 +93,7 @@ def test_criterion_2_lift_oracle_equivalence():
     for k in range(1, 5):
         for a in helpers.self_dual_double_bases(k):
             base = CodeSpec("double", Z2, k, 1, a)
-            ok &= helpers.covers_preimages_once(base, Z8, list(nested_lift(base, Z8)))
+            ok &= helpers.covers_preimages_once(base, Z8, 7, list(nested_lift(base, Z8, 7)))
     report("criterion 2: lift systems equal brute-force solution sets", ok)
 
 
@@ -140,7 +138,7 @@ def test_criterion_4_monomial_lemma_suite():
     rng = random.Random(40)
     ok = True
     for alpha in (1, 3):
-        ring = Z4.with_alpha(alpha)
+        ring = Z4
         for k in range(2, 9):
             pairs = dict(helpers.generator_pairs(ring, k, alpha))
             for s in range(1, k):
@@ -179,7 +177,7 @@ def test_criterion_5_lift_equivariance():
             continue
         a = rng.choice(pools[k])
         base = CodeSpec("double", Z2, k, 1, a)
-        lifts = list(self_dual_lifts(base, Z4))
+        lifts = list(self_dual_lifts(base, Z4, 3))
         if not lifts:
             continue
         lift = rng.choice(lifts)
@@ -231,7 +229,7 @@ def test_criterion_7_distance_oracles(searches):
     # Gray isometry
     for _ in range(1000):
         word = [rng.randrange(4) for _ in range(rng.randrange(1, 16))]
-        ok &= lee_weight(Z4, word) == hamming_weight(Z2, helpers.gray_image(word))
+        ok &= helpers.lee_weight(Z4, word) == helpers.hamming_weight(Z2, helpers.gray_image(word))
     # d_Lee <= 2 d_Ham(base) on every record the searches produced
     for result in searches.values():
         for rec in result.all_records:

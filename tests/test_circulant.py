@@ -16,9 +16,9 @@ from alphacirc import (
     parse_vector,
 )
 
-Z2 = ChainRing(2, 1, 1)
-Z4 = ChainRing(2, 2, 3)
-Z9 = ChainRing(3, 2, 8)
+Z2 = ChainRing(2, 1)
+Z4 = ChainRing(2, 2)
+Z9 = ChainRing(3, 2)
 
 
 def rand_vec(ring, k, alpha, rng):

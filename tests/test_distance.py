@@ -12,20 +12,19 @@ from alphacirc import (
     canonical_form,
     enumerate_base_codes,
     generator_matrix,
-    hamming_weight,
     is_doubly_even,
     is_self_dual,
-    lee_weight,
     min_hamming_distance,
     min_lee_distance,
     run_search,
 )
 from alphacirc.distance import _message_blocks, lee_table
+from helpers import hamming_weight, lee_weight
 
-Z2 = ChainRing(2, 1, 1)
-Z4 = ChainRing(2, 2, 3)
-Z8 = ChainRing(2, 3, 7)
-Z9 = ChainRing(3, 2, 8)
+Z2 = ChainRing(2, 1)
+Z4 = ChainRing(2, 2)
+Z8 = ChainRing(2, 3)
+Z9 = ChainRing(3, 2)
 
 
 def rand_spec(rng, kmax=4):
@@ -147,8 +146,11 @@ def search_lifts(ring, n, family):
     lifts, not only one per orbit."""
     config = SearchConfig(ring=ChainRing.from_name(ring), n=n, family=family)
     bases = enumerate_base_codes(config)
-    target = config.target_ring()
-    lifts = [lift for base in bases for lift in helpers.all_nested_lifts(base, target)]
+    lifts = [
+        lift
+        for base in bases
+        for lift in helpers.all_nested_lifts(base, config.ring, config.alpha)
+    ]
     return config, bases, lifts
 
 

@@ -23,11 +23,11 @@ from alphacirc.equivalence import (
     substitute,
 )
 
-Z2 = ChainRing(2, 1, 1)
-F3 = ChainRing(3, 1, 2)
-Z4 = ChainRing(2, 2, 3)
-Z8 = ChainRing(2, 3, 7)
-Z9 = ChainRing(3, 2, 8)
+Z2 = ChainRing(2, 1)
+F3 = ChainRing(3, 1)
+Z4 = ChainRing(2, 2)
+Z8 = ChainRing(2, 3)
+Z9 = ChainRing(3, 2)
 
 
 def rand_vec(ring, k, alpha, rng):
@@ -86,7 +86,7 @@ class TestSMap:
         assert substitute(CircVec(Z4, 3, (0, 1, 0, 0)), 3).coeffs == (0, 0, 0, 3)
 
     def test_s_one_alpha_one_is_identity(self):
-        ring = ChainRing(2, 2, 1)
+        ring = ChainRing(2, 2)
         pair = dict(helpers.generator_pairs(ring, 4, 1))["s_map_1"]
         a = CircVec(ring, 1, (1, 2, 0, 3))
         assert moved(pair, a) == a.coeffs
@@ -97,6 +97,12 @@ class TestSMap:
     def test_requires_coprime_s(self):
         with pytest.raises(ValueError):
             substitute(CircVec(Z4, 3, (1, 0, 0, 0)), 2)
+
+    def test_rejects_s_outside_one_to_k(self):
+        # s = 0 is coprime to k = 1, but only s in [1, k) names a substitution
+        for a, s in ((CircVec(Z4, 1, (1,)), 0), (CircVec(Z4, 3, (1, 0, 0)), 4)):
+            with pytest.raises(ValueError):
+                substitute(a, s)
 
     def test_pairs_are_orthogonal(self):
         pairs = dict(helpers.generator_pairs(Z4, 8, 3))
@@ -233,7 +239,7 @@ class TestGroupAgainstOracle:
 
     @pytest.mark.parametrize(
         "ring, alpha, max_core",
-        [(Z2, 1, 7), (ChainRing(3, 1, 1), 1, 5), (F3, 2, 5)],
+        [(Z2, 1, 7), (ChainRing(3, 1), 1, 5), (F3, 2, 5)],
         ids=["F2", "F3", "F3-nega"],
     )
     def test_every_bordered_pair(self, ring, alpha, max_core):
@@ -266,7 +272,7 @@ class TestGroupIsLeeIsometric:
         signs = {1, ring.size - 1}
         for alpha in (1, ring.size - 1):
             for k in range(1, 7):
-                gather, mult, border_mult = _group(ring.with_alpha(alpha), k, alpha, bordered)
+                gather, mult, border_mult = _group(ring, k, alpha, bordered)
                 assert set(mult.ravel().tolist()) <= signs, (alpha, k)
                 assert set(border_mult.tolist()) <= signs, (alpha, k)
                 assert all(sorted(row) == list(range(k)) for row in gather.tolist())
@@ -278,7 +284,7 @@ class TestGroupIsLeeIsometric:
     def test_rejects_alpha_other_than_sign(self):
         # x^k = 3 over Z8 squares to one, but its shift multiplies by 3
         with pytest.raises(ChainRingError):
-            canonical_form(CircVec(Z8.with_alpha(3), 3, (1, 2, 0)))
+            canonical_form(CircVec(Z8, 3, (1, 2, 0)))
 
 
 class TestNecklaces:

@@ -1,8 +1,10 @@
 import itertools
 import json
+import pathlib
 
 import pytest
 
+import alphacirc.search
 import helpers
 from alphacirc import (
     ChainRing,
@@ -35,8 +37,7 @@ class TestSearchConfig:
     def test_defaults(self):
         c = cfg()
         assert c.k == 4 and c.kind == "double" and c.alpha == 3
-        assert c.target_ring() == ChainRing(2, 2, 3)
-        assert c.base_ring() == ChainRing(2, 1, 1)
+        assert c.base_ring() == ChainRing(2, 1)
 
     def test_circ_alpha(self):
         assert cfg(family="double-circ").alpha == 1
@@ -67,7 +68,7 @@ class TestSearchConfig:
 class TestBaseEnumeration:
     def test_orbit_appears_once(self):
         reps = enumerate_base_codes(cfg())
-        Z2 = ChainRing(2, 1, 1)
+        Z2 = ChainRing(2, 1)
         target = canonical_form(CircVec(Z2, 1, (1, 1, 1, 0))).coeffs
         assert sum(1 for s in reps if s.a == target) == 1
         for s in reps:
@@ -84,6 +85,7 @@ class TestBaseEnumeration:
         # every self-dual base vector, canonicalized by the breadth-first oracle
         config = cfg(ring=ChainRing.from_name(ring_name), n=n, family=family)
         ring, k = config.base_ring(), config.k
+        alpha = config.alpha % ring.p
         reps = {(s.a, s.border) for s in enumerate_base_codes(config)}
         expected = set()
         if config.kind == "double":
@@ -94,12 +96,12 @@ class TestBaseEnumeration:
                 itertools.product(range(ring.p), repeat=3),
             )
         for a, border in candidates:
-            spec = CodeSpec(config.kind, ring, k, ring.alpha, a, border)
+            spec = CodeSpec(config.kind, ring, k, alpha, a, border)
             if not is_self_dual(spec):
                 continue
             if ring_name == "z4" and not is_doubly_even(spec):
                 continue
-            v = CircVec(ring, ring.alpha, a)
+            v = CircVec(ring, alpha, a)
             if border is None:
                 expected.add((min(helpers.orbit(v)), None))
             else:
@@ -166,11 +168,19 @@ class TestRunSearch:
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["records.txt"]
 
-    def test_checkpoint_resume(self, tmp_path):
+    def test_checkpoint_resume(self, tmp_path, monkeypatch):
         ck = tmp_path / "state.json"
         config = cfg(n=16, checkpoint=str(ck), prune=False)
+        write_checkpoint = alphacirc.search._write_checkpoint
+
+        def interrupt_after_first_base(*args):
+            write_checkpoint(*args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(alphacirc.search, "_write_checkpoint", interrupt_after_first_base)
         with pytest.raises(KeyboardInterrupt):
-            run_search(config, interrupt_after=1)
+            run_search(config)
+        monkeypatch.undo()
         state = json.loads(ck.read_text())
         assert state["bases_done"] == 1
         resumed = run_search(config)
@@ -222,13 +232,34 @@ class TestRunSearch:
     def test_no_best_value_lost(self, ring, n, family):
         # one lift per orbit finds the best d_Lee over every self-dual lift
         config = cfg(ring=ChainRing.from_name(ring), n=n, family=family, prune=False)
-        target = config.target_ring()
         best = max(
             min_lee_distance(lift)
             for base in enumerate_base_codes(config)
-            for lift in helpers.all_nested_lifts(base, target)
+            for lift in helpers.all_nested_lifts(base, config.ring, config.alpha)
         )
         assert run_search(config).best_d_lee == best
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "ring, n, family",
+    [
+        ("z4", 8, "double-nega"),
+        ("z4", 8, "bordered-circ"),
+        ("z8", 8, "double-nega"),
+        ("z8", 8, "bordered-circ"),
+        ("z9", 12, "double-nega"),
+    ],
+)
+def test_golden_results_file(ring, n, family, tmp_path):
+    # every record and the summary, so the section rule, the lift order and
+    # the first-of-orbit choice are pinned, not only the best d_Lee
+    out = tmp_path / "records.txt"
+    run_search(cfg(ring=ChainRing.from_name(ring), n=n, family=family, out=str(out)))
+    expected = (GOLDEN / f"{ring}-n{n}-{family}.txt").read_text(encoding="utf-8")
+    assert out.read_text(encoding="utf-8") == expected
 
 
 class TestRecords:
@@ -325,6 +356,15 @@ class TestCli:
         ])
         assert code == 0
         assert capsys.readouterr().out.strip() == "0,1,1,1"
+
+    @pytest.mark.parametrize("ring, alpha", [("z4", "2"), ("z8", "3")])
+    def test_canon_rejects_alpha(self, ring, alpha, capsys):
+        # 2 is no unit of Z4; 3 is a unit of Z8 with 3^2 = 1, but no Lee isometry
+        code = main(["canon", "--ring", ring, "--alpha", alpha, "--vector", "1,2,0"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "alpha" in captured.err
+        assert captured.out == ""
 
     def test_bordered_search_with_one_core_entry(self, capsys):
         for ring in ("z2", "z9"):
