@@ -2,7 +2,6 @@
 
 from .chainring import ChainRing, ChainRingError
 from .circulant import (
-    CircVec,
     CodeSpec,
     cir,
     format_vector,
@@ -14,10 +13,7 @@ from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form, necklaces
 from .lifting import (
     BaseNotSelfDual,
-    LiftSolutionSet,
-    LiftSystem,
     build_lift_system,
-    enumerate_lifts,
     nested_lift,
     self_dual_lifts,
     solve_lift_system,

@@ -1,9 +1,11 @@
-"""Alpha-circulant matrices and double / bordered circulant code specs.
+"""Double and bordered alpha-circulant code specs and their matrices.
 
 A generating vector (a_0, ..., a_{k-1}) is identified with the polynomial
 sum a_i x^i in R[x]/(x^k - alpha); all circulant arithmetic happens on these
-length-k vectors.  Dense matrices (numpy int arrays reduced mod |R|) exist
-for oracle checks and for the bordered generator blocks.
+plain length-k tuples.  `CodeSpec` is the one code value: the ring, alpha,
+the generating vector and, for bordered codes, the border.  Dense matrices
+(numpy int arrays reduced mod |R|) exist for the generator matrix and for
+oracle checks.
 """
 
 from __future__ import annotations
@@ -16,98 +18,61 @@ from .chainring import ChainRing, ChainRingError
 
 
 @dataclass(frozen=True)
-class CircVec:
-    """Generating vector of an alpha-circulant matrix over a chain ring."""
-
-    ring: ChainRing
-    alpha: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.ring.is_unit(self.alpha):
-            raise ChainRingError(f"alpha = {self.alpha} is not a unit in Z_{self.ring.size}")
-        if len(self.coeffs) < 1:
-            raise ChainRingError("generating vector must be non-empty")
-        for c in self.coeffs:
-            self.ring.elem(c)
-
-    @property
-    def k(self) -> int:
-        return len(self.coeffs)
-
-
-@dataclass(frozen=True)
 class CodeSpec:
-    """A double or bordered alpha-circulant code of length n = 2k.
+    """A double or bordered alpha-circulant code over a chain ring.
 
-    For kind "double" the right half of the generator matrix is the k x k
-    circulant generated by `a`.  For kind "bordered", `a` generates the
-    (k-1) x (k-1) circulant core and `border` = (beta, gamma, delta) fills
-    the corner, top row and left column of the right half.
+    With no border, `a` generates the k x k alpha-circulant right half of
+    the generator matrix, so a spec is also the generating vector of one
+    alpha-circulant matrix.  With `border` = (beta, gamma, delta), `a`
+    generates the (k-1) x (k-1) circulant core, and the border fills the
+    corner, top row and left column of the right half.
     """
 
-    kind: str
     ring: ChainRing
-    k: int
     alpha: int
     a: tuple[int, ...]
     border: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("double", "bordered"):
-            raise ValueError(f"unknown code kind {self.kind!r}")
-        if self.kind == "double":
-            if self.border is not None:
-                raise ValueError("double circulant specs take no border")
-            if len(self.a) != self.k:
-                raise ValueError(f"need {self.k} circulant entries, got {len(self.a)}")
-        else:
-            if self.border is None or len(self.border) != 3:
-                raise ValueError(
-                    f"bordered circulant specs need a (beta, gamma, delta) border,"
-                    f" got {self.border!r}"
-                )
-            if len(self.a) != self.k - 1:
-                raise ValueError(f"need {self.k - 1} core entries, got {len(self.a)}")
-            for b in self.border:
-                self.ring.elem(b)
-        if not self.ring.is_unit(self.alpha):
-            raise ChainRingError(f"alpha = {self.alpha} is not a unit in Z_{self.ring.size}")
-        for c in self.a:
+        size = self.ring.size
+        if not 0 <= self.alpha < size or not self.ring.is_unit(self.alpha):
+            raise ChainRingError(f"alpha = {self.alpha} is not a unit of Z_{size} in [0, {size})")
+        if len(self.a) < 1:
+            raise ChainRingError("generating vector must be non-empty")
+        if self.border is not None and len(self.border) != 3:
+            raise ValueError(f"a border is (beta, gamma, delta), got {self.border!r}")
+        for c in self.a + (self.border or ()):
             self.ring.elem(c)
+
+    @property
+    def k(self) -> int:
+        return len(self.a) + (self.border is not None)
 
     @property
     def n(self) -> int:
         return 2 * self.k
 
-    def circ_vec(self) -> CircVec:
-        return CircVec(self.ring, self.alpha, self.a)
 
-
-def cir(v: CircVec) -> np.ndarray:
-    """Explicit k x k alpha-circulant matrix generated by v.
+def cir(a: tuple[int, ...], alpha: int, mod: int) -> np.ndarray:
+    """Explicit k x k alpha-circulant matrix generated by a, over Z_mod.
 
     Entry (i, j) is a_{j-i} for j >= i and alpha * a_{k+j-i} below the
     diagonal, so row i is the length-k window of (alpha a | a) starting at
     k - i.
     """
-    a = np.array(v.coeffs, dtype=np.int64)
-    r = np.arange(v.k)
-    return np.concatenate([v.alpha * a % v.ring.size, a])[v.k + r - r[:, None]]
+    v = np.array(a, dtype=np.int64)
+    r = np.arange(len(a))
+    return np.concatenate([alpha * v % mod, v])[len(a) + r - r[:, None]]
 
 
 def generator_matrix(spec: CodeSpec) -> np.ndarray:
     """The k x 2k generator matrix (I_k | right half) of the spec."""
     k, mod = spec.k, spec.ring.size
     right = np.zeros((k, k), dtype=np.int64)
-    if spec.kind == "double":
-        right[:, :] = cir(spec.circ_vec())
-    else:
-        beta, gamma, delta = spec.border
-        right[0, 0] = beta
-        right[0, 1:] = gamma
-        right[1:, 0] = delta
-        right[1:, 1:] = cir(CircVec(spec.ring, spec.alpha, spec.a))
+    if spec.border is not None:
+        right[0, 0], right[0, 1:], right[1:, 0] = spec.border
+    core = k - len(spec.a)
+    right[core:, core:] = cir(spec.a, spec.alpha, mod)
     return np.hstack([np.eye(k, dtype=np.int64), right]) % mod
 
 

@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .chainring import ChainRing, ChainRingError
-from .circulant import CircVec, format_vector, parse_vector
+from .circulant import CodeSpec, format_vector, parse_vector
 from .distance import min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form
 from .search import (
@@ -99,8 +99,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_distance(args) -> int:
     border = None if args.border is None else parse_vector(args.border)
-    # the spec rejects a border on a double family and a bordered one without
-    # exactly three entries
+    # family_spec rejects a border on a double family and a bordered one
+    # without exactly three entries
     ring = ChainRing.from_name(args.ring)
     spec = family_spec(args.family, ring, parse_vector(args.vector), border)
     d_lee = min_lee_distance(spec)
@@ -111,8 +111,8 @@ def _cmd_distance(args) -> int:
 
 def _cmd_canon(args) -> int:
     ring = ChainRing.from_name(args.ring)
-    v = CircVec(ring, args.alpha % ring.size, parse_vector(args.vector))
-    print(format_vector(canonical_form(v).coeffs))
+    spec = CodeSpec(ring, args.alpha, parse_vector(args.vector))
+    print(format_vector(canonical_form(spec).a))
     return 0
 
 

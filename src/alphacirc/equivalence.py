@@ -5,13 +5,14 @@ The paper defines equivalence by monomial pairs (N, M) acting on circulant
 matrices by A -> N^{-1} A M.  The pairs used here (shifts, the scalar -1 and
 the substitution maps f(x) -> f((alpha x)^s)) preserve alpha-circulant
 structure, so each one is a map on generating vectors, given in closed form
-by `shift_right` and `substitute`.  Every element of the group they generate
-sends a generating vector a to (mult_j * a_{gather_j})_j: `_group` reads the
-generators' gather indices and multipliers off their images of the unit
-vectors, closes the group once per (ring, k, alpha, bordered) and caches it.
-With alpha = +-1 every multiplier is +-1, so each element preserves
-self-duality and Lee weight.  A canonical form is the lexicographic minimum
-over the images of a under all of the group's elements.
+on plain tuples by `shift_right` and `substitute`.  Every element of the
+group they generate sends a generating vector a to (mult_j * a_{gather_j})_j:
+`_group` reads the generators' gather indices and multipliers off their
+images of the unit vectors, closes the group once per (ring, k, alpha,
+bordered) and caches it.  With alpha = +-1 every multiplier is +-1, so each
+element preserves self-duality and Lee weight.  A canonical form is the
+`CodeSpec` whose vector (and border) is the lexicographic minimum over the
+images under all of the group's elements.
 """
 
 from __future__ import annotations
@@ -23,16 +24,15 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .chainring import ChainRing, ChainRingError
-from .circulant import CircVec
+from .circulant import CodeSpec
 
 
 # --- generators -------------------------------------------------------------
 
 
-def shift_right(a: CircVec) -> CircVec:
+def shift_right(a: tuple[int, ...], alpha: int, mod: int) -> tuple[int, ...]:
     """Image under (I, T_alpha): multiplication by x."""
-    last = a.coeffs[-1] * a.alpha % a.ring.size
-    return CircVec(a.ring, a.alpha, (last,) + a.coeffs[:-1])
+    return (a[-1] * alpha % mod,) + a[:-1]
 
 
 def _substitution_exponents(k: int, alpha: int, mod: int) -> list[int]:
@@ -42,21 +42,21 @@ def _substitution_exponents(k: int, alpha: int, mod: int) -> list[int]:
     return [s for s in range(1, k) if gcd(s, k) == 1 and pow(alpha, s * (k + 1) - 1, mod) == 1]
 
 
-def substitute(a: CircVec, s: int) -> CircVec:
+def substitute(a: tuple[int, ...], alpha: int, mod: int, s: int) -> tuple[int, ...]:
     """Closed form of the conjugation sending f(x) to f((alpha x)^s).
 
     Uses x^k = alpha, so the a_i term lands at position s*i mod k with an
     extra factor alpha^{s*i + floor(s*i / k)}.
     """
-    k, mod = a.k, a.ring.size
-    if s not in _substitution_exponents(k, a.alpha, mod):
+    k = len(a)
+    if s not in _substitution_exponents(k, alpha, mod):
         raise ValueError(
-            f"substitution by s = {s} is not well defined for alpha = {a.alpha}, k = {k}"
+            f"substitution by s = {s} is not well defined for alpha = {alpha}, k = {k}"
         )
     out = [0] * k
-    for i, ai in enumerate(a.coeffs):
-        out[s * i % k] = ai * pow(a.alpha, s * i + s * i // k, mod) % mod
-    return CircVec(a.ring, a.alpha, tuple(out))
+    for i, ai in enumerate(a):
+        out[s * i % k] = ai * pow(alpha, s * i + s * i // k, mod) % mod
+    return tuple(out)
 
 
 # --- the group and canonical forms ------------------------------------------
@@ -67,13 +67,13 @@ _Element = tuple[tuple[int, ...], tuple[int, ...], int]
 
 
 def _monomial(
-    f: Callable[[CircVec], CircVec], ring: ChainRing, k: int, alpha: int
+    f: Callable[[tuple[int, ...]], tuple[int, ...]], k: int
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Gather indices and multipliers of the monomial map f, read off its
-    images of the unit vectors."""
+    """Gather indices and multipliers of the monomial map f on length-k
+    vectors, read off its images of the unit vectors."""
     gather, mult = [0] * k, [0] * k
     for i in range(k):
-        image = f(CircVec(ring, alpha, tuple(int(j == i) for j in range(k)))).coeffs
+        image = f(tuple(int(j == i) for j in range(k)))
         j = next(j for j, c in enumerate(image) if c)
         gather[j], mult[j] = i, image[j]
     return tuple(gather), tuple(mult)
@@ -107,9 +107,9 @@ def _group(
     if alpha % mod not in (1, mod - 1):
         raise ChainRingError("canonical forms require alpha = +-1")
     identity = (tuple(range(k)), (1,) * k, 1)
-    gens = [(*_monomial(shift_right, ring, k, alpha), 1)]
+    gens = [(*_monomial(lambda a: shift_right(a, alpha, mod), k), 1)]
     for s in _substitution_exponents(k, alpha, mod):
-        gather, mult = _monomial(lambda a, s=s: substitute(a, s), ring, k, alpha)
+        gather, mult = _monomial(lambda a, s=s: substitute(a, alpha, mod, s), k)
         if not bordered or len(set(mult)) == 1:
             gens.append((gather, mult, 1))
     gens.append((identity[0], (mod - 1,) * k, mod - 1 if bordered else 1))
@@ -124,23 +124,25 @@ def _group(
     return arrays
 
 
-def canonical_form(a: CircVec) -> CircVec:
-    """Lexicographically least vector in the orbit of a (index 0 most significant)."""
-    gather, mult, _ = _group(a.ring, a.k, a.alpha, False)
-    images = mult * np.array(a.coeffs)[gather] % a.ring.size
-    return CircVec(a.ring, a.alpha, tuple(min(images.tolist())))
+def canonical_form(spec: CodeSpec) -> CodeSpec:
+    """The double spec whose vector is the lexicographically least in the
+    orbit of spec.a (index 0 most significant)."""
+    if spec.border is not None:
+        raise ValueError("a bordered spec takes canonical_form_bordered")
+    gather, mult, _ = _group(spec.ring, len(spec.a), spec.alpha, False)
+    images = mult * np.array(spec.a)[gather] % spec.ring.size
+    return CodeSpec(spec.ring, spec.alpha, tuple(min(images.tolist())))
 
 
-def canonical_form_bordered(
-    a: CircVec, border: tuple[int, int, int]
-) -> tuple[tuple[int, ...], tuple[int, int, int]]:
-    """Canonical (core, border) pair for bordered specs: the least core + border
-    over the orbit under core shifts, substitution maps whose diagonal part is
-    scalar, and simultaneous negation of core and border."""
-    gather, mult, border_mult = _group(a.ring, a.k, a.alpha, True)
-    images = np.hstack([mult * np.array(a.coeffs)[gather], np.outer(border_mult, border)])
-    best = min((images % a.ring.size).tolist())
-    return tuple(best[: a.k]), tuple(best[a.k :])
+def canonical_form_bordered(spec: CodeSpec) -> CodeSpec:
+    """The canonical bordered spec: the least core + border over the orbit
+    under core shifts, substitution maps whose diagonal part is scalar, and
+    simultaneous negation of core and border."""
+    c = len(spec.a)
+    gather, mult, border_mult = _group(spec.ring, c, spec.alpha, True)
+    images = np.hstack([mult * np.array(spec.a)[gather], np.outer(border_mult, spec.border)])
+    best = min((images % spec.ring.size).tolist())
+    return CodeSpec(spec.ring, spec.alpha, tuple(best[:c]), tuple(best[c:]))
 
 
 def necklaces(k: int, q: int) -> Iterator[tuple[int, ...]]:

@@ -22,48 +22,17 @@ leaves one code per equivalence class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .chainring import ChainRing, ChainRingError
-from .circulant import CircVec, CodeSpec, gram_matrix
+from .circulant import CodeSpec, gram_matrix
 from .equivalence import canonical_form, canonical_form_bordered
+from .gfsolve import solve_affine
 
 
 class BaseNotSelfDual(ValueError):
     """The base code is not self-dual over R/I, so no self-dual lift exists."""
-
-
-@dataclass(frozen=True)
-class LiftSystem:
-    """F_q-linear system for the ideal coordinates of a lift vector."""
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    q: int
-
-
-@dataclass(frozen=True)
-class LiftSolutionSet:
-    """Affine subspace of F_q^t; empty when particular is None."""
-
-    particular: tuple[int, ...] | None
-    basis: tuple[tuple[int, ...], ...]
-    q: int
-
-    @property
-    def count(self) -> int:
-        return 0 if self.particular is None else self.q ** len(self.basis)
-
-    def solutions(self):
-        """All vectors of the affine space, the particular solution first."""
-        if self.particular is None:
-            return
-        dim, t = len(self.basis), len(self.particular)
-        digits = np.array(list(itertools.product(range(self.q), repeat=dim)), dtype=np.int64)
-        basis = np.array(self.basis, dtype=np.int64).reshape(dim, t)
-        yield from map(tuple, ((self.particular + digits @ basis) % self.q).tolist())
 
 
 def _coords(spec: CodeSpec) -> tuple[int, ...]:
@@ -75,14 +44,14 @@ def _with_coords(spec: CodeSpec, ring: ChainRing, alpha: int, coords) -> CodeSpe
     """The spec of the same shape over `ring` whose lift coordinates are `coords`."""
     nc = len(spec.a)
     border = None if spec.border is None else tuple(coords[nc:])
-    return CodeSpec(spec.kind, ring, spec.k, alpha, tuple(coords[:nc]), border)
+    return CodeSpec(ring, alpha, tuple(coords[:nc]), border)
 
 
 def section_lift_spec(base: CodeSpec, ring: ChainRing, alpha: int) -> CodeSpec:
     """The spec over R whose generator matrix is G_0, the section lift of the
     base: a coordinate equal to the base alpha lifts to `alpha`, every other
     one to its least residue, so lifted alpha-entries stay exactly alpha."""
-    if not 0 <= alpha < ring.size or alpha * alpha % ring.size != 1:
+    if alpha * alpha % ring.size != 1:
         raise ChainRingError(f"alpha = {alpha} is not a square root of 1 in Z_{ring.size}")
     if base.ring != ring.quotient(1):
         raise ValueError("base spec must live over R/I for the target ring R")
@@ -92,8 +61,9 @@ def section_lift_spec(base: CodeSpec, ring: ChainRing, alpha: int) -> CodeSpec:
     return _with_coords(base, ring, alpha, coords)
 
 
-def build_lift_system(spec0: CodeSpec) -> LiftSystem:
-    """Assemble the F_q system of the section lift `spec0` from Gram differences.
+def build_lift_system(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The F_q system (matrix, rhs) of the section lift `spec0`, read off
+    Gram differences.
 
     One equation per Gram entry (i, j), i <= j, of G_0.  Column v is (Gram
     of G_0 with coordinate v raised by theta^{m-1}) minus (Gram of G_0),
@@ -119,54 +89,35 @@ def build_lift_system(spec0: CodeSpec) -> LiftSystem:
         gram_v = gram_matrix(_with_coords(spec0, ring, spec0.alpha, coords))[upper]
         # both Grams lie in I, so the difference divides exactly
         columns.append((gram_v - gram0) // ideal_gen % p)
-    return LiftSystem(
-        matrix=np.stack(columns, axis=1),
-        rhs=-(gram0 // ideal_gen) % p,
-        q=p,
-    )
+    return np.stack(columns, axis=1), -(gram0 // ideal_gen) % p
 
 
-def solve_lift_system(system: LiftSystem) -> LiftSolutionSet:
-    from .gfsolve import solve_affine
-
-    sol = solve_affine(system.matrix, system.rhs, system.q)
+def solve_lift_system(matrix: np.ndarray, rhs: np.ndarray, q: int) -> np.ndarray:
+    """Every solution u of matrix u = rhs over F_q, one per row, the
+    particular solution first; no rows when the system is inconsistent."""
+    sol = solve_affine(matrix, rhs, q)
     if sol is None:
-        return LiftSolutionSet(None, (), system.q)
+        return np.zeros((0, matrix.shape[1]), dtype=np.int64)
     particular, basis = sol
-    return LiftSolutionSet(
-        tuple(int(x) for x in particular),
-        tuple(tuple(int(x) for x in v) for v in basis),
-        system.q,
-    )
-
-
-def enumerate_lifts(spec0: CodeSpec, sols: LiftSolutionSet):
-    """Yield the self-dual lift specs spec0 + theta^{m-1} u over R."""
-    ring = spec0.ring
-    mod = ring.size
-    ideal_gen = ring.p ** (ring.m - 1)
-    coords0 = _coords(spec0)
-    for u in sols.solutions():
-        coords = [(c + ideal_gen * x) % mod for c, x in zip(coords0, u)]
-        yield _with_coords(spec0, ring, spec0.alpha, coords)
+    digits = np.array(list(itertools.product(range(q), repeat=len(basis))), dtype=np.int64)
+    kernel = np.array(basis, dtype=np.int64).reshape(len(basis), len(particular))
+    return (particular + digits @ kernel) % q
 
 
 def self_dual_lifts(base: CodeSpec, ring: ChainRing, alpha: int):
-    """The self-dual lifts of `base` to `ring` whose alpha is `alpha`: build
-    the section lift once, then build, solve and enumerate its system."""
+    """The self-dual lifts of `base` to `ring` whose alpha is `alpha`: the
+    section lift plus theta^{m-1} u for each solution u of its system."""
     spec0 = section_lift_spec(base, ring, alpha)
-    return enumerate_lifts(spec0, solve_lift_system(build_lift_system(spec0)))
+    solutions = solve_lift_system(*build_lift_system(spec0), ring.p)
+    coords = (np.array(_coords(spec0)) + ring.p ** (ring.m - 1) * solutions) % ring.size
+    return (_with_coords(spec0, ring, alpha, u) for u in coords.tolist())
 
 
 def _one_per_orbit(specs):
     """The first spec of each orbit of the cached group, in input order."""
     seen = set()
     for spec in specs:
-        v = CircVec(spec.ring, spec.alpha, spec.a)
-        if spec.border is None:
-            key = canonical_form(v).coeffs
-        else:
-            key = canonical_form_bordered(v, spec.border)
+        key = canonical_form(spec) if spec.border is None else canonical_form_bordered(spec)
         if key not in seen:
             seen.add(key)
             yield spec

@@ -13,11 +13,10 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import time
 from dataclasses import dataclass, field
 
 from .chainring import ChainRing
-from .circulant import CircVec, CodeSpec, format_vector, is_self_dual, parse_vector
+from .circulant import CodeSpec, format_vector, is_self_dual, parse_vector
 from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form, canonical_form_bordered, necklaces
 from .lifting import nested_lift
@@ -29,23 +28,26 @@ class ConfigurationError(ValueError):
     """Invalid search configuration (CLI exit code 1)."""
 
 
-def _kind_and_alpha(family: str, ring: ChainRing) -> tuple[str, int]:
+def _bordered_and_alpha(family: str, ring: ChainRing) -> tuple[bool, int]:
     """The one family decision: alpha = -1 for double-nega, else 1, and
-    bordered-circ is the bordered kind."""
+    bordered-circ is the bordered family."""
     if family not in FAMILIES:
         raise ConfigurationError(f"unknown family {family!r}; known: {FAMILIES}")
-    kind = "bordered" if family == "bordered-circ" else "double"
-    return kind, ring.size - 1 if family == "double-nega" else 1
+    return family == "bordered-circ", ring.size - 1 if family == "double-nega" else 1
 
 
 def family_spec(
     family: str, ring: ChainRing, a: tuple[int, ...], border: tuple[int, int, int] | None = None
 ) -> CodeSpec:
     """The `family` code over `ring` generated by `a` (the core, for bordered
-    codes) and `border`; k follows from the length of `a`."""
-    kind, alpha = _kind_and_alpha(family, ring)
-    k = len(a) + (kind == "bordered")
-    return CodeSpec(kind, ring, k, alpha, a, border)
+    codes) and `border`, which a bordered family needs and a double one
+    rejects."""
+    bordered, alpha = _bordered_and_alpha(family, ring)
+    if bordered and border is None:
+        raise ValueError(f"{family} codes need a (beta, gamma, delta) border")
+    if not bordered and border is not None:
+        raise ValueError(f"{family} codes take no border")
+    return CodeSpec(ring, alpha, a, border)
 
 
 @dataclass(frozen=True)
@@ -61,8 +63,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.n % 2:
             raise ConfigurationError(f"length n = {self.n} must be even and positive")
-        # self.kind also rejects an unknown family
-        if self.kind == "bordered" and self.n < 4:
+        # self.bordered also rejects an unknown family
+        if self.bordered and self.n < 4:
             raise ConfigurationError(
                 f"bordered codes need n >= 4 for a non-empty core, got n = {self.n}"
             )
@@ -84,12 +86,12 @@ class SearchConfig:
         return self.n // 2
 
     @property
-    def kind(self) -> str:
-        return _kind_and_alpha(self.family, self.ring)[0]
+    def bordered(self) -> bool:
+        return _bordered_and_alpha(self.family, self.ring)[0]
 
     @property
     def alpha(self) -> int:
-        return _kind_and_alpha(self.family, self.ring)[1]
+        return _bordered_and_alpha(self.family, self.ring)[1]
 
     def base_ring(self) -> ChainRing:
         return ChainRing(self.ring.p, 1)
@@ -113,7 +115,6 @@ class SearchRecord:
     border: tuple[int, int, int] | None
     d_lee: int
     d_ham_base: int
-    timestamp: float | None = None
 
     def to_line(self) -> str:
         border = format_vector(self.border) if self.border is not None else "-"
@@ -176,28 +177,20 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
     property of the base.
     """
     ring = cfg.base_ring()
-    alpha, k, kind = cfg.alpha % ring.p, cfg.k, cfg.kind
+    alpha = cfg.alpha % ring.p
     need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2
-    if kind == "double":
-        candidates = itertools.product(necklaces(k, ring.p), [None])
-    else:
+    if cfg.bordered:
         borders = itertools.product(range(ring.p), repeat=3)
-        candidates = itertools.product(necklaces(k - 1, ring.p), borders)
-    seen: set[tuple] = set()
-    reps: list[CodeSpec] = []
+        candidates = itertools.product(necklaces(cfg.k - 1, ring.p), borders)
+    else:
+        candidates = itertools.product(necklaces(cfg.k, ring.p), [None])
+    reps: dict[CodeSpec, None] = {}  # an insertion-ordered set
     for a, border in candidates:
-        spec = CodeSpec(kind, ring, k, alpha, a, border)
+        spec = CodeSpec(ring, alpha, a, border)
         if not is_self_dual(spec) or (need_doubly_even and not is_doubly_even(spec)):
             continue
-        v = CircVec(ring, alpha, a)
-        if border is None:
-            canon = (canonical_form(v).coeffs, None)
-        else:
-            canon = canonical_form_bordered(v, border)
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(CodeSpec(kind, ring, k, alpha, *canon))
-    return reps
+        reps[canonical_form(spec) if border is None else canonical_form_bordered(spec)] = None
+    return list(reps)
 
 
 def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
@@ -269,7 +262,6 @@ def run_search(cfg: SearchConfig) -> SearchResult:
                         border=lift.border,
                         d_lee=val,
                         d_ham_base=d_ham,
-                        timestamp=time.time(),
                     )
                 )
         done += 1

@@ -11,7 +11,7 @@ from math import gcd
 
 import numpy as np
 
-from alphacirc import ChainRing, CircVec, CodeSpec, cir, generator_matrix, is_self_dual
+from alphacirc import ChainRing, CodeSpec, cir, generator_matrix, is_self_dual
 from alphacirc.equivalence import shift_right, substitute
 
 Z2 = ChainRing(2, 1)
@@ -135,7 +135,7 @@ def brute_force_lift_vectors(base: CodeSpec, ring: ChainRing, alpha: int) -> set
         border = None
         if spec0.border is not None:
             border = tuple((spec0.border[i] + w[len(spec0.a) + i]) % mod for i in range(3))
-        cand = CodeSpec(base.kind, ring, base.k, spec0.alpha, a, border)
+        cand = CodeSpec(ring, spec0.alpha, a, border)
         if is_self_dual(cand):
             found.add((a, border))
     return found
@@ -158,7 +158,7 @@ def brute_force_preimages(base: CodeSpec, ring: ChainRing, alpha: int) -> set[tu
         digits = [flat[i] + p * choice[i] for i in range(t)]
         a = tuple(digits[: len(base.a)])
         border = tuple(digits[len(base.a) :]) or None
-        cand = CodeSpec(base.kind, ring, base.k, alpha, a, border)
+        cand = CodeSpec(ring, alpha, a, border)
         if is_self_dual(cand):
             found.add((a, border))
     return found
@@ -181,10 +181,9 @@ def all_nested_lifts(base: CodeSpec, ring: ChainRing, alpha: int) -> list[CodeSp
 
 def spec_orbit(spec: CodeSpec) -> set[tuple]:
     """{(a, border)} keys of a spec's orbit under the breadth-first closures."""
-    v = CircVec(spec.ring, spec.alpha, spec.a)
     if spec.border is None:
-        return {(a, None) for a in orbit(v)}
-    return bordered_orbit(v, spec.border)
+        return {(a, None) for a in orbit(spec)}
+    return bordered_orbit(spec)
 
 
 def covers_preimages_once(
@@ -209,7 +208,7 @@ def self_dual_double_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
     ring = ChainRing(p, 1)
     out = []
     for a in itertools.product(range(p), repeat=k):
-        if is_self_dual(CodeSpec("double", ring, k, alpha, a)):
+        if is_self_dual(CodeSpec(ring, alpha, a)):
             out.append(a)
     return out
 
@@ -220,22 +219,19 @@ def self_dual_bordered_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
     out = []
     for core in itertools.product(range(p), repeat=k - 1):
         for border in itertools.product(range(p), repeat=3):
-            if is_self_dual(CodeSpec("bordered", ring, k, alpha, core, border)):
+            if is_self_dual(CodeSpec(ring, alpha, core, border)):
                 out.append((core, border))
     return out
 
 
-def shift_left(a: CircVec) -> CircVec:
+def shift_left(a: tuple[int, ...], alpha: int, mod: int) -> tuple[int, ...]:
     """Image under (T_alpha, I): multiplication by alpha^{-1} x^{k-1}."""
-    inv_alpha = pow(a.alpha, -1, a.ring.size)
-    first = a.coeffs[0] * inv_alpha % a.ring.size
-    return CircVec(a.ring, a.alpha, a.coeffs[1:] + (first,))
+    return a[1:] + (a[0] * pow(alpha, -1, mod) % mod,)
 
 
-def scale(a: CircVec, lam: int) -> CircVec:
+def scale(a: tuple[int, ...], lam: int, mod: int) -> tuple[int, ...]:
     """Image under (I, lam I): scaling by the unit lam."""
-    mod = a.ring.size
-    return CircVec(a.ring, a.alpha, tuple(c * lam % mod for c in a.coeffs))
+    return tuple(c * lam % mod for c in a)
 
 
 def _substitution_exponents(k: int, alpha: int, mod: int) -> list[int]:
@@ -258,35 +254,39 @@ def _closure(start, gens) -> set:
     return seen
 
 
-def orbit(a: CircVec) -> set[tuple[int, ...]]:
+def _core_maps(spec: CodeSpec, scalar_diagonal_only: bool) -> list:
+    """Shifts both ways and the admissible substitutions, as maps on the
+    spec's generating vectors; optionally only the substitutions whose
+    diagonal part is scalar."""
+    alpha, mod, k = spec.alpha, spec.ring.size, len(spec.a)
+    maps = [lambda v: shift_right(v, alpha, mod), lambda v: shift_left(v, alpha, mod)]
+    maps += [
+        lambda v, s=s: substitute(v, alpha, mod, s)
+        for s in _substitution_exponents(k, alpha, mod)
+        if not scalar_diagonal_only or len(set(_substitution_diagonal(k, alpha, s, mod))) == 1
+    ]
+    return maps
+
+
+def orbit(spec: CodeSpec) -> set[tuple[int, ...]]:
     """Orbit of a generating vector, closed one vector at a time under shifts
     both ways, the scalar -1 and the admissible substitutions.  The closed
     forms it applies are checked against the matrix pairs elsewhere.  Only
     +-1 scale, because the other square roots of one (3 and 5 over Z8) are
     not Lee isometries."""
-    ring, alpha = a.ring, a.alpha
-    actions = [shift_right, shift_left]
-    actions += [lambda v: scale(v, ring.size - 1)]
-    actions += [
-        lambda v, s=s: substitute(v, s) for s in _substitution_exponents(a.k, alpha, ring.size)
-    ]
-    gens = [lambda c, f=f: f(CircVec(ring, alpha, c)).coeffs for f in actions]
-    return _closure(a.coeffs, gens)
+    mod = spec.ring.size
+    gens = _core_maps(spec, False) + [lambda v: scale(v, mod - 1, mod)]
+    return _closure(spec.a, gens)
 
 
-def bordered_orbit(a: CircVec, border: tuple) -> set[tuple[tuple, tuple]]:
-    """Orbit of a (core, border) pair under core shifts, the substitutions whose
-    diagonal part is scalar and simultaneous negation of core and border."""
-    ring, alpha, k, mod = a.ring, a.alpha, a.k, a.ring.size
-    actions = [shift_right, shift_left]
-    actions += [
-        lambda v, s=s: substitute(v, s)
-        for s in _substitution_exponents(k, alpha, mod)
-        if len(set(_substitution_diagonal(k, alpha, s, mod))) == 1
-    ]
-    gens = [lambda st, f=f: (f(CircVec(ring, alpha, st[0])).coeffs, st[1]) for f in actions]
-    gens.append(lambda st: (tuple(-c % mod for c in st[0]), tuple(-b % mod for b in st[1])))
-    return _closure((a.coeffs, tuple(border)), gens)
+def bordered_orbit(spec: CodeSpec) -> set[tuple[tuple, tuple]]:
+    """Orbit of a bordered spec's (core, border) pair under core shifts, the
+    substitutions whose diagonal part is scalar and simultaneous negation of
+    core and border."""
+    mod = spec.ring.size
+    gens = [lambda st, f=f: (f(st[0]), st[1]) for f in _core_maps(spec, True)]
+    gens.append(lambda st: (scale(st[0], mod - 1, mod), scale(st[1], mod - 1, mod)))
+    return _closure((spec.a, tuple(spec.border)), gens)
 
 
 # --- monomial pairs (N, M), acting on circulants by A -> N^{-1} A M --------
@@ -296,7 +296,7 @@ def shift_matrix(ring: ChainRing, k: int, alpha: int) -> np.ndarray:
     """T_alpha = cir(0, 1, 0, ..., 0); for k = 1, x = alpha in R[x]/(x - alpha)."""
     if k == 1:
         return np.array([[alpha % ring.size]])
-    return cir(CircVec(ring, alpha, (0, 1) + (0,) * (k - 2)))
+    return cir((0, 1) + (0,) * (k - 2), alpha, ring.size)
 
 
 def _substitution_diagonal(k: int, alpha: int, s: int, mod: int) -> list[int]:
@@ -327,19 +327,20 @@ def type_shift(ring: ChainRing, k: int, alpha: int, j: int) -> np.ndarray:
     return np.diag([pow(alpha, i * j, ring.size) for i in range(k)])
 
 
-def act(pair: tuple, a: CircVec) -> np.ndarray:
-    """N^{-1} cir(a) M mod q.  A monomial N is inverted by transposing it and
-    inverting its entries: for +-1 entries that is the transpose alone."""
+def act(pair: tuple, spec: CodeSpec) -> np.ndarray:
+    """N^{-1} cir(a) M mod q for the spec's generating vector a.  A monomial N
+    is inverted by transposing it and inverting its entries: for +-1 entries
+    that is the transpose alone."""
     N, M = pair
-    mod = a.ring.size
+    mod = spec.ring.size
     N_inv = np.array([[pow(int(x), -1, mod) if x % mod else 0 for x in row] for row in N.T])
-    return N_inv @ cir(a) @ M % mod
+    return N_inv @ cir(spec.a, spec.alpha, mod) @ M % mod
 
 
 def is_alpha_circulant(A: np.ndarray, ring: ChainRing, alpha: int) -> bool:
     """Whether A is the alpha-circulant generated by its first row."""
     A = np.asarray(A) % ring.size
-    return np.array_equal(A, cir(CircVec(ring, alpha, tuple(int(x) for x in A[0]))))
+    return np.array_equal(A, cir(tuple(int(x) for x in A[0]), alpha, ring.size))
 
 
 GRAY = ((0, 0), (0, 1), (1, 1), (1, 0))

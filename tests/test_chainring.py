@@ -27,7 +27,7 @@ class TestDescriptor:
             ChainRing.from_name("z16")
 
     def test_ring_carries_no_alpha(self):
-        # alpha belongs to the circulant algebra: CircVec and CodeSpec carry it
+        # alpha belongs to the circulant algebra: CodeSpec carries it
         with pytest.raises(TypeError):
             ChainRing(2, 2, 3)
 

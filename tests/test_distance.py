@@ -6,7 +6,6 @@ import pytest
 import helpers
 from alphacirc import (
     ChainRing,
-    CircVec,
     CodeSpec,
     SearchConfig,
     canonical_form,
@@ -32,11 +31,11 @@ def rand_spec(rng, kmax=4):
     if rng.random() < 0.5:
         k = rng.randrange(1, kmax + 1)
         a = tuple(rng.randrange(ring.size) for _ in range(k))
-        return CodeSpec("double", ring, k, alpha, a)
+        return CodeSpec(ring, alpha, a)
     k = rng.randrange(2, kmax + 1)
     a = tuple(rng.randrange(ring.size) for _ in range(k - 1))
     border = tuple(rng.randrange(ring.size) for _ in range(3))
-    return CodeSpec("bordered", ring, k, alpha, a, border)
+    return CodeSpec(ring, alpha, a, border)
 
 
 class TestWeights:
@@ -74,22 +73,22 @@ class TestGrayMap:
 
 class TestMinDistance:
     def test_extended_hamming_base(self):
-        spec = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
+        spec = CodeSpec(Z2, 1, (1, 1, 1, 0))
         assert min_hamming_distance(spec) == 4
 
     def test_octacode_style_lift(self):
-        spec = CodeSpec("double", Z4, 4, 3, (1, 3, 3, 2))
+        spec = CodeSpec(Z4, 3, (1, 3, 3, 2))
         assert min_lee_distance(spec) == 6
-        assert min_lee_distance(CodeSpec("double", Z4, 4, 3, (1, 3, 3, 0))) == 4
+        assert min_lee_distance(CodeSpec(Z4, 3, (1, 3, 3, 0))) == 4
 
     def test_k1_double(self):
-        spec = CodeSpec("double", Z4, 1, 3, (1,))
+        spec = CodeSpec(Z4, 3, (1,))
         assert min_lee_distance(spec) == 2
         assert min_hamming_distance(spec) == 2
 
     def test_zero_rank_rejected(self):
         with pytest.raises(Exception):
-            min_hamming_distance(CodeSpec("double", Z4, 0, 3, ()))
+            min_hamming_distance(CodeSpec(Z4, 3, ()))
 
     def test_matches_naive_oracle(self):
         rng = random.Random(1)
@@ -103,9 +102,7 @@ class TestMinDistance:
         rng = random.Random(2)
         for _ in range(100):
             k = rng.randrange(1, 5)
-            spec = CodeSpec(
-                "double", Z4, k, 3, tuple(rng.randrange(4) for _ in range(k))
-            )
+            spec = CodeSpec(Z4, 3, tuple(rng.randrange(4) for _ in range(k)))
             G = generator_matrix(spec)
             generic = helpers.mitm_min_weight(G, 4, lee_table(Z4))
             assert helpers.mitm_min_lee_z4(G) == generic
@@ -165,8 +162,7 @@ class TestCertifierAtProductionSize:
         assert len(winners) == 8 and len(others) >= 24
         # the search keeps one witness, equivalent to one of the 8
         (witness,) = run_search(config).records
-        canon = lambda spec: canonical_form(CircVec(spec.ring, spec.alpha, spec.a))
-        assert canon(witness.lift_spec()) in {canon(spec) for spec in winners}
+        assert canonical_form(witness.lift_spec()) in {canonical_form(spec) for spec in winners}
         for spec in winners + others:
             G = generator_matrix(spec)
             oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
@@ -197,10 +193,10 @@ class TestCertifierAtProductionSize:
         # a singular right half, and a [24,12] code one entry away from a
         # self-dual winner: neither is self-orthogonal, so only the left half
         # is an information set and the weight-t layers outgrow one block
-        singular = CodeSpec("double", Z4, 4, 3, (2, 2, 0, 0))
+        singular = CodeSpec(Z4, 3, (2, 2, 0, 0))
         config = SearchConfig(ring=Z4, n=24, family="double-nega")
         winner = run_search(config).records[0].lift_spec()
-        near = CodeSpec("double", Z4, 12, 3, ((winner.a[0] + 1) % 4,) + winner.a[1:])
+        near = CodeSpec(Z4, 3, ((winner.a[0] + 1) % 4,) + winner.a[1:])
         for spec in (singular, near):
             assert not is_self_dual(spec)
             G = generator_matrix(spec)
@@ -222,30 +218,30 @@ class TestCertifierAtProductionSize:
 
 class TestDoublyEven:
     def test_extended_hamming(self):
-        assert is_doubly_even(CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0)))
+        assert is_doubly_even(CodeSpec(Z2, 1, (1, 1, 1, 0)))
 
     def test_singly_even_counterexample(self):
-        assert not is_doubly_even(CodeSpec("double", Z2, 2, 1, (1, 0)))
+        assert not is_doubly_even(CodeSpec(Z2, 1, (1, 0)))
 
     def test_length_32_example(self):
         v = tuple(int(c) for c in "1111101011011010")
-        assert is_doubly_even(CodeSpec("double", Z2, 16, 1, v))
+        assert is_doubly_even(CodeSpec(Z2, 1, v))
 
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
-            is_doubly_even(CodeSpec("double", Z4, 4, 3, (1, 3, 3, 0)))
+            is_doubly_even(CodeSpec(Z4, 3, (1, 3, 3, 0)))
 
     def test_matches_full_enumeration(self):
         import numpy as np
 
         specs = [
-            CodeSpec("double", Z2, k, 1, a)
+            CodeSpec(Z2, 1, a)
             for k in range(1, 7)
             for a in itertools.product(range(2), repeat=k)
         ]
         assert len(specs) == 126
         specs += [
-            CodeSpec("bordered", Z2, k, 1, core, border)
+            CodeSpec(Z2, 1, core, border)
             for k in range(2, 7)
             for core in itertools.product(range(2), repeat=k - 1)
             for border in itertools.product(range(2), repeat=3)

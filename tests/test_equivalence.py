@@ -9,7 +9,6 @@ import helpers
 from alphacirc import (
     ChainRing,
     ChainRingError,
-    CircVec,
     CodeSpec,
     canonical_form,
     cir,
@@ -31,7 +30,7 @@ Z9 = ChainRing(3, 2)
 
 
 def rand_vec(ring, k, alpha, rng):
-    return CircVec(ring, alpha, tuple(rng.randrange(ring.size) for _ in range(k)))
+    return CodeSpec(ring, alpha, tuple(rng.randrange(ring.size) for _ in range(k)))
 
 
 def moved(pair, a):
@@ -39,33 +38,34 @@ def moved(pair, a):
     return tuple(helpers.act(pair, a)[0].tolist())
 
 
-def closed_form(name, a):
-    """The closed form in `equivalence` (or the oracle's) for a generator pair."""
+def closed_form(name, spec):
+    """The closed form in `equivalence` (or the oracle's) for a generator
+    pair, applied to the spec's generating vector."""
+    a, alpha, mod = spec.a, spec.alpha, spec.ring.size
     if name == "shift_right":
-        return shift_right(a)
+        return shift_right(a, alpha, mod)
     if name == "shift_left":
-        return helpers.shift_left(a)
+        return helpers.shift_left(a, alpha, mod)
     if name.startswith("scale_"):
-        return helpers.scale(a, int(name[len("scale_"):]))
-    return substitute(a, int(name[len("s_map_"):]))
+        return helpers.scale(a, int(name[len("scale_"):]), mod)
+    return substitute(a, alpha, mod, int(name[len("s_map_"):]))
 
 
 class TestAct:
     def test_shift_right(self):
-        a = CircVec(Z2, 1, (1, 1, 1, 0))
-        assert shift_right(a).coeffs == (0, 1, 1, 1)
+        a = CodeSpec(Z2, 1, (1, 1, 1, 0))
+        assert shift_right(a.a, 1, 2) == (0, 1, 1, 1)
         pair = helpers.generator_pairs(Z2, 4, 1)[0][1]
         assert moved(pair, a) == (0, 1, 1, 1)
 
     def test_shift_left(self):
-        a = CircVec(Z2, 1, (1, 1, 1, 0))
-        assert helpers.shift_left(a).coeffs == (1, 1, 0, 1)
+        a = CodeSpec(Z2, 1, (1, 1, 1, 0))
+        assert helpers.shift_left(a.a, 1, 2) == (1, 1, 0, 1)
         pair = helpers.generator_pairs(Z2, 4, 1)[1][1]
         assert moved(pair, a) == (1, 1, 0, 1)
 
     def test_scalar(self):
-        a = CircVec(Z4, 3, (1, 2, 0, 1))
-        assert helpers.scale(a, 3).coeffs == (3, 2, 0, 3)
+        assert helpers.scale((1, 2, 0, 1), 3, 4) == (3, 2, 0, 3)
 
     def test_closed_forms_match_matrices(self):
         rng = random.Random(1)
@@ -75,34 +75,34 @@ class TestAct:
                     a = rand_vec(ring, k, alpha, rng)
                     B = helpers.act(pair, a)
                     assert helpers.is_alpha_circulant(B, ring, alpha), name
-                    assert np.array_equal(B, cir(closed_form(name, a))), name
+                    assert np.array_equal(B, cir(closed_form(name, a), alpha, ring.size)), name
 
 
 class TestSMap:
     def test_substitution_example_z4(self):
         # x -> (3x)^3 = 3x^3 in Z4[x]/(x^4 - 3)
         pair = dict(helpers.generator_pairs(Z4, 4, 3))["s_map_3"]
-        assert moved(pair, CircVec(Z4, 3, (0, 1, 0, 0))) == (0, 0, 0, 3)
-        assert substitute(CircVec(Z4, 3, (0, 1, 0, 0)), 3).coeffs == (0, 0, 0, 3)
+        assert moved(pair, CodeSpec(Z4, 3, (0, 1, 0, 0))) == (0, 0, 0, 3)
+        assert substitute((0, 1, 0, 0), 3, 4, 3) == (0, 0, 0, 3)
 
     def test_s_one_alpha_one_is_identity(self):
         ring = ChainRing(2, 2)
         pair = dict(helpers.generator_pairs(ring, 4, 1))["s_map_1"]
-        a = CircVec(ring, 1, (1, 2, 0, 3))
-        assert moved(pair, a) == a.coeffs
+        a = CodeSpec(ring, 1, (1, 2, 0, 3))
+        assert moved(pair, a) == a.a
 
     def test_substitution_example_z2(self):
-        assert substitute(CircVec(Z2, 1, (1, 1, 1, 0)), 3).coeffs == (1, 0, 1, 1)
+        assert substitute((1, 1, 1, 0), 1, 2, 3) == (1, 0, 1, 1)
 
     def test_requires_coprime_s(self):
         with pytest.raises(ValueError):
-            substitute(CircVec(Z4, 3, (1, 0, 0, 0)), 2)
+            substitute((1, 0, 0, 0), 3, 4, 2)
 
     def test_rejects_s_outside_one_to_k(self):
         # s = 0 is coprime to k = 1, but only s in [1, k) names a substitution
-        for a, s in ((CircVec(Z4, 1, (1,)), 0), (CircVec(Z4, 3, (1, 0, 0)), 4)):
+        for a, alpha, s in (((1,), 1, 0), ((1, 0, 0), 3, 4)):
             with pytest.raises(ValueError):
-                substitute(a, s)
+                substitute(a, alpha, 4, s)
 
     def test_pairs_are_orthogonal(self):
         pairs = dict(helpers.generator_pairs(Z4, 8, 3))
@@ -122,16 +122,16 @@ class TestSMap:
                 pair = pairs[f"s_map_{s}"]
                 for _ in range(20):
                     f = rand_vec(ring, k, alpha, rng)
-                    assert moved(pair, f) == substitute(f, s).coeffs
+                    assert moved(pair, f) == substitute(f.a, alpha, ring.size, s)
 
 
 class TestTypeShift:
     def test_z9_instance(self):
         M = helpers.type_shift(Z9, 3, 2, 1)
         assert np.diag(M).tolist() == [1, 2, 4]
-        res = helpers.act((M, M), CircVec(Z9, 2, (0, 1, 0)))
+        res = helpers.act((M, M), CodeSpec(Z9, 2, (0, 1, 0)))
         # 2-circulant becomes 2^{1-3} = 7-circulant
-        assert np.array_equal(res, cir(CircVec(ChainRing(3, 2), 7, (0, 2, 0))))
+        assert np.array_equal(res, cir((0, 2, 0), 7, 9))
 
     def test_alpha_one_is_noop(self):
         M = helpers.type_shift(Z4, 5, 1, 3)
@@ -145,7 +145,7 @@ class TestTypeShift:
     def test_oracle_inverts_non_sign_entries(self):
         # N^{-1} cir(1) N = I needs the inverses 5 and 7 of 2 and 4 over Z9
         M = helpers.type_shift(Z9, 3, 2, 1)
-        identity = helpers.act((M, M), CircVec(Z9, 2, (1, 0, 0)))
+        identity = helpers.act((M, M), CodeSpec(Z9, 2, (1, 0, 0)))
         assert np.array_equal(identity, np.eye(3, dtype=np.int64))
 
     def test_lemma_on_random_matrices(self):
@@ -154,7 +154,7 @@ class TestTypeShift:
         for _ in range(100):
             i = rng.randrange(0, 4)
             j = rng.randrange(0, 3)
-            a = CircVec(ring, pow(alpha, i, 9), tuple(rng.randrange(9) for _ in range(k)))
+            a = CodeSpec(ring, pow(alpha, i, 9), tuple(rng.randrange(9) for _ in range(k)))
             M = helpers.type_shift(ring, k, alpha, j)
             res = helpers.act((M, M), a)
             new_type = pow(alpha, i - k * j, 9)
@@ -163,25 +163,25 @@ class TestTypeShift:
 
 class TestCanonicalForm:
     def test_example(self):
-        assert canonical_form(CircVec(Z2, 1, (1, 1, 1, 0))).coeffs == (0, 1, 1, 1)
+        assert canonical_form(CodeSpec(Z2, 1, (1, 1, 1, 0))) == CodeSpec(Z2, 1, (0, 1, 1, 1))
 
     def test_zero_fixed_point(self):
-        assert canonical_form(CircVec(Z2, 1, (0, 0, 0, 0))).coeffs == (0, 0, 0, 0)
+        assert canonical_form(CodeSpec(Z2, 1, (0, 0, 0, 0))).a == (0, 0, 0, 0)
 
     def test_substitution_image_same_form(self):
-        v = CircVec(Z2, 1, (1, 0, 1, 1, 1, 0, 0, 0))
-        w = substitute(v, 3)
-        assert canonical_form(v).coeffs == canonical_form(w).coeffs
+        v = CodeSpec(Z2, 1, (1, 0, 1, 1, 1, 0, 0, 0))
+        w = CodeSpec(Z2, 1, substitute(v.a, 1, 2, 3))
+        assert canonical_form(v) == canonical_form(w)
 
     def test_idempotent_and_orbit_constant(self):
         rng = random.Random(4)
         for _ in range(30):
             a = rand_vec(Z4, 4, 3, rng)
             c = canonical_form(a)
-            assert canonical_form(c).coeffs == c.coeffs
+            assert canonical_form(c) == c
             for name, pair in helpers.generator_pairs(Z4, 4, 3):
-                image = CircVec(Z4, 3, moved(pair, a))
-                assert canonical_form(image).coeffs == c.coeffs, name
+                image = CodeSpec(Z4, 3, moved(pair, a))
+                assert canonical_form(image) == c, name
 
     def test_self_duality_preserved_by_action(self):
         # the orthogonal generators map self-dual vectors to self-dual vectors
@@ -192,32 +192,39 @@ class TestCanonicalForm:
         for _ in range(200):
             k, a = rng.choice(pool)
             name, pair = rng.choice(helpers.generator_pairs(Z2, k, 1))
-            image = moved(pair, CircVec(Z2, 1, a))
-            assert is_self_dual(CodeSpec("double", Z2, k, 1, image)), name
+            image = moved(pair, CodeSpec(Z2, 1, a))
+            assert is_self_dual(CodeSpec(Z2, 1, image)), name
 
     def test_counterexample_vectors_distinct(self):
         v = tuple(int(c) for c in "1111101011011010")
         w = tuple(int(c) for c in "1110010011100000")
-        assert canonical_form(CircVec(Z2, 1, v)).coeffs != canonical_form(CircVec(Z2, 1, w)).coeffs
+        assert canonical_form(CodeSpec(Z2, 1, v)) != canonical_form(CodeSpec(Z2, 1, w))
+
+    def test_double_form_rejects_border(self):
+        # the double group would drop the border rather than canonicalize it
+        with pytest.raises(ValueError):
+            canonical_form(CodeSpec(Z2, 1, (1, 1, 0), (0, 1, 1)))
 
     def test_bordered_restricted_group(self):
         core, border = (1, 1, 0), (0, 1, 1)
-        canon = canonical_form_bordered(CircVec(Z2, 1, core), border)
-        # shifting the core must not change the canonical pair
-        shifted = shift_right(CircVec(Z2, 1, core))
-        assert canonical_form_bordered(shifted, border) == canon
+        canon = canonical_form_bordered(CodeSpec(Z2, 1, core, border))
+        # shifting the core must not change the canonical spec
+        shifted = CodeSpec(Z2, 1, shift_right(core, 1, 2), border)
+        assert canonical_form_bordered(shifted) == canon
 
 
 class TestGroupAgainstOracle:
     """The cached group against the per-vector breadth-first closure."""
 
     @staticmethod
-    def group_orbit(a, border=None):
-        gather, mult, border_mult = _group(a.ring, a.k, a.alpha, border is not None)
-        images = mult * np.array(a.coeffs)[gather] % a.ring.size
-        if border is None:
+    def group_orbit(spec):
+        mod = spec.ring.size
+        bordered = spec.border is not None
+        gather, mult, border_mult = _group(spec.ring, len(spec.a), spec.alpha, bordered)
+        images = mult * np.array(spec.a)[gather] % mod
+        if spec.border is None:
             return {tuple(row) for row in images.tolist()}
-        borders = np.outer(border_mult, border) % a.ring.size
+        borders = np.outer(border_mult, spec.border) % mod
         return set(zip(map(tuple, images.tolist()), map(tuple, borders.tolist())))
 
     @pytest.mark.parametrize(
@@ -231,11 +238,12 @@ class TestGroupAgainstOracle:
             for coeffs in itertools.product(range(ring.size), repeat=k):
                 if coeffs in covered:
                     continue
-                orbit = helpers.orbit(CircVec(ring, alpha, coeffs))
+                spec = CodeSpec(ring, alpha, coeffs)
+                orbit = helpers.orbit(spec)
                 covered |= orbit
-                assert self.group_orbit(CircVec(ring, alpha, coeffs)) == orbit
+                assert self.group_orbit(spec) == orbit
                 for w in orbit:
-                    assert canonical_form(CircVec(ring, alpha, w)).coeffs == min(orbit)
+                    assert canonical_form(CodeSpec(ring, alpha, w)).a == min(orbit)
 
     @pytest.mark.parametrize(
         "ring, alpha, max_core",
@@ -253,13 +261,13 @@ class TestGroupAgainstOracle:
             for core, border in pairs:
                 if (core, border) in covered:
                     continue
-                a = CircVec(ring, alpha, core)
-                orbit = helpers.bordered_orbit(a, border)
+                spec = CodeSpec(ring, alpha, core, border)
+                orbit = helpers.bordered_orbit(spec)
                 covered |= orbit
-                assert self.group_orbit(a, border) == orbit
-                best = min(orbit, key=lambda st: st[0] + st[1])
+                assert self.group_orbit(spec) == orbit
+                best = CodeSpec(ring, alpha, *min(orbit, key=lambda st: st[0] + st[1]))
                 for w_core, w_border in orbit:
-                    assert canonical_form_bordered(CircVec(ring, alpha, w_core), w_border) == best
+                    assert canonical_form_bordered(CodeSpec(ring, alpha, w_core, w_border)) == best
 
 
 class TestGroupIsLeeIsometric:
@@ -284,7 +292,7 @@ class TestGroupIsLeeIsometric:
     def test_rejects_alpha_other_than_sign(self):
         # x^k = 3 over Z8 squares to one, but its shift multiplies by 3
         with pytest.raises(ChainRingError):
-            canonical_form(CircVec(Z8, 3, (1, 2, 0)))
+            canonical_form(CodeSpec(Z8, 3, (1, 2, 0)))
 
 
 class TestNecklaces:

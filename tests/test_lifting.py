@@ -15,12 +15,7 @@ from alphacirc import (
     self_dual_lifts,
 )
 from alphacirc.gfsolve import rref, solve_affine
-from alphacirc.lifting import (
-    build_lift_system,
-    enumerate_lifts,
-    section_lift_spec,
-    solve_lift_system,
-)
+from alphacirc.lifting import build_lift_system, section_lift_spec, solve_lift_system
 
 Z2 = ChainRing(2, 1)
 Z4 = ChainRing(2, 2)
@@ -82,35 +77,36 @@ class TestGfSolve:
 
 class TestLiftSystem:
     def test_known_eight_solution_case(self):
-        base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
-        sols = solve_lift_system(lift_system(base, Z4, 3))
-        assert sols.count == 8
-        assert len(sols.basis) == 3
+        base = CodeSpec(Z2, 1, (1, 1, 1, 0))
+        sols = solve_lift_system(*lift_system(base, Z4, 3), 2)
+        # 8 distinct solutions: a 3-dimensional affine space over F2
+        assert sols.shape == (8, 4)
+        assert len(set(map(tuple, sols.tolist()))) == 8
         # the solvable constraint collapses to u0 + u2 = 1
-        for u in sols.solutions():
+        for u in sols:
             assert (u[0] + u[2]) % 2 == 1
 
     def test_known_lift_appears(self):
-        base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
+        base = CodeSpec(Z2, 1, (1, 1, 1, 0))
         lifts = {spec.a for spec in self_dual_lifts(base, Z4, 3)}
         assert len(lifts) == 8
         assert (1, 3, 3, 0) in lifts
         for a in lifts:
-            assert is_self_dual(CodeSpec("double", Z4, 4, 3, a))
+            assert is_self_dual(CodeSpec(Z4, 3, a))
 
     def test_base_not_self_dual(self):
         with pytest.raises(BaseNotSelfDual):
-            lift_system(CodeSpec("double", Z2, 4, 1, (1, 1, 0, 0)), Z4, 3)
+            lift_system(CodeSpec(Z2, 1, (1, 1, 0, 0)), Z4, 3)
 
     def test_section_lift_spec(self):
-        base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
+        base = CodeSpec(Z2, 1, (1, 1, 1, 0))
         spec0 = section_lift_spec(base, Z4, 3)
         assert spec0.a == (3, 3, 3, 0) and spec0.alpha == 3
         with pytest.raises(ValueError):
-            section_lift_spec(CodeSpec("double", Z2, 2, 1, (1, 0)), Z9, 8)
+            section_lift_spec(CodeSpec(Z2, 1, (1, 0)), Z9, 8)
         with pytest.raises(ValueError):
             # the base alpha 1 is not the projection of alpha = 8 = -1 over Z9
-            section_lift_spec(CodeSpec("double", F3, 2, 1, (1, 0)), Z9, 8)
+            section_lift_spec(CodeSpec(F3, 1, (1, 0)), Z9, 8)
 
     def test_raises_iff_base_not_self_dual(self):
         # the section lift's Gram entries all lie in the minimal ideal
@@ -123,8 +119,8 @@ class TestLiftSystem:
                 a = tuple(rng.randrange(base.size) for _ in range(k))
                 border = tuple(rng.randrange(base.size) for _ in range(3))
                 for spec in (
-                    CodeSpec("double", base, k, base_alpha, a),
-                    CodeSpec("bordered", base, k, base_alpha, a[1:], border),
+                    CodeSpec(base, base_alpha, a),
+                    CodeSpec(base, base_alpha, a[1:], border),
                 ):
                     try:
                         lift_system(spec, target, alpha)
@@ -136,17 +132,18 @@ class TestLiftSystem:
     def test_solution_count_is_power_of_q(self):
         for k in (2, 3, 4):
             for a in helpers.self_dual_double_bases(k):
-                base = CodeSpec("double", Z2, k, 1, a)
-                sols = solve_lift_system(lift_system(base, Z4, 3))
-                n = sols.count
-                assert n == 0 or n == 2 ** len(sols.basis)
+                base = CodeSpec(Z2, 1, a)
+                sols = solve_lift_system(*lift_system(base, Z4, 3), 2)
+                n = len(sols)
+                assert n & (n - 1) == 0  # zero or a power of two
+                assert len(set(map(tuple, sols.tolist()))) == n
 
 
 class TestSection:
     """The section lift sends a coordinate equal to the base alpha to the
     target alpha and every other one to its least residue."""
 
-    BASE = CodeSpec("bordered", Z2, 3, 1, (1, 0), (0, 1, 1))
+    BASE = CodeSpec(Z2, 1, (1, 0), (0, 1, 1))
 
     def test_alpha_exception(self):
         # alpha = 3 projects to 1, so 1 must lift back to 3
@@ -163,9 +160,7 @@ class TestSection:
         for ring in (Z4, Z8, Z9):
             qsize = ring.size // ring.p
             for alpha in (x for x in range(ring.size) if x * x % ring.size == 1):
-                base = CodeSpec(
-                    "double", ring.quotient(1), qsize, alpha % qsize, tuple(range(qsize))
-                )
+                base = CodeSpec(ring.quotient(1), alpha % qsize, tuple(range(qsize)))
                 spec0 = section_lift_spec(base, ring, alpha)
                 assert spec0.ring == ring and spec0.alpha == alpha
                 assert tuple(c % qsize for c in spec0.a) == base.a
@@ -173,17 +168,17 @@ class TestSection:
     def test_requires_quotient_element(self):
         # the base must live over R/I, not over R itself
         with pytest.raises(ValueError):
-            section_lift_spec(CodeSpec("double", Z4, 2, 3, (2, 1)), Z4, 3)
+            section_lift_spec(CodeSpec(Z4, 3, (2, 1)), Z4, 3)
 
     def test_alpha_must_square_to_one(self):
         with pytest.raises(ChainRingError):
             section_lift_spec(self.BASE, Z4, 2)
-        section_lift_spec(CodeSpec("double", Z4, 2, 3, (1, 0)), Z8, 3)  # 3^2 = 9 = 1 mod 8
+        section_lift_spec(CodeSpec(Z4, 3, (1, 0)), Z8, 3)  # 3^2 = 9 = 1 mod 8
 
     def test_alpha_out_of_range(self):
         # 7^2 = 49 = 1 mod 4, but 7 is no residue of Z4; the zero base has no
         # entry that would carry the bad alpha into a coordinate
-        zero = CodeSpec("double", Z2, 2, 1, (0, 0))
+        zero = CodeSpec(Z2, 1, (0, 0))
         for base in (self.BASE, zero):
             for alpha in (7, -1):
                 with pytest.raises(ChainRingError):
@@ -194,7 +189,7 @@ class TestBruteForceAgreement:
     def test_double_z2_to_z4(self):
         for k in (2, 3, 4):
             for a in helpers.self_dual_double_bases(k):
-                base = CodeSpec("double", Z2, k, 1, a)
+                base = CodeSpec(Z2, 1, a)
                 expected = helpers.brute_force_lift_vectors(base, Z4, 3)
                 got = {(spec.a, spec.border) for spec in self_dual_lifts(base, Z4, 3)}
                 assert got == expected, a
@@ -202,7 +197,7 @@ class TestBruteForceAgreement:
     def test_double_f3_to_z9(self):
         for k in (2, 3):
             for a in helpers.self_dual_double_bases(k, p=3, alpha=2):
-                base = CodeSpec("double", F3, k, 2, a)
+                base = CodeSpec(F3, 2, a)
                 expected = helpers.brute_force_lift_vectors(base, Z9, 8)
                 got = {(spec.a, spec.border) for spec in self_dual_lifts(base, Z9, 8)}
                 assert got == expected, a
@@ -210,14 +205,14 @@ class TestBruteForceAgreement:
     def test_bordered_z2_to_z4(self):
         for k in (3, 4):
             for core, border in helpers.self_dual_bordered_bases(k):
-                base = CodeSpec("bordered", Z2, k, 1, core, border)
+                base = CodeSpec(Z2, 1, core, border)
                 expected = helpers.brute_force_lift_vectors(base, Z4, 3)
                 got = {(spec.a, spec.border) for spec in self_dual_lifts(base, Z4, 3)}
                 assert got == expected, (core, border)
 
     def test_bordered_f3_to_z9(self):
         bases = [
-            CodeSpec("bordered", F3, k, 2, core, border)
+            CodeSpec(F3, 2, core, border)
             for k in (2, 3, 4, 5)
             for core, border in helpers.self_dual_bordered_bases(k, p=3, alpha=2)
         ]
@@ -230,7 +225,7 @@ class TestBruteForceAgreement:
 
 class TestNestedLift:
     def test_single_level_is_identity(self):
-        base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
+        base = CodeSpec(Z2, 1, (1, 1, 1, 0))
         assert list(nested_lift(base, Z2, 1)) == [base]
 
     def test_matches_preimage_enumeration_z8(self):
@@ -239,11 +234,11 @@ class TestNestedLift:
         # alpha = -1 (32 lifts, 4 orbits each) and three k = 4 bordered with
         # alpha = 1 (128 lifts, 32 orbits each).
         bases = [
-            CodeSpec("double", Z2, k, 1, a)
+            CodeSpec(Z2, 1, a)
             for k in (2, 3, 4)
             for a in helpers.self_dual_double_bases(k)
         ] + [
-            CodeSpec("bordered", Z2, k, 1, core, border)
+            CodeSpec(Z2, 1, core, border)
             for k in (2, 3, 4)
             for core, border in helpers.self_dual_bordered_bases(k)
         ]
@@ -265,12 +260,12 @@ class TestNestedLift:
         # solution order, and their orbits cover every preimage exactly once
         alpha = target_alpha % ring.p
         bases = [
-            CodeSpec("double", ring, k, alpha, a)
+            CodeSpec(ring, alpha, a)
             for k in range(1, 5)
             for a in helpers.self_dual_double_bases(k, ring.p, alpha)
         ]
         bases += [
-            CodeSpec("bordered", ring, k, alpha, core, border)
+            CodeSpec(ring, alpha, core, border)
             for k in range(2, 5)
             for core, border in helpers.self_dual_bordered_bases(k, ring.p, alpha)
         ]
@@ -286,12 +281,12 @@ class TestNestedLift:
 
     def test_pruning_happens(self):
         # k = 4 over Z4 has 8 self-dual lifts in 2 orbits
-        base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
+        base = CodeSpec(Z2, 1, (1, 1, 1, 0))
         assert len(helpers.all_nested_lifts(base, Z4, 3)) == 8
         assert len(list(nested_lift(base, Z4, 3))) == 2
 
     def test_all_outputs_self_dual_and_project(self):
-        base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
+        base = CodeSpec(Z2, 1, (1, 1, 1, 0))
         specs = list(nested_lift(base, Z8, 7))
         assert specs
         for spec in specs:
@@ -302,7 +297,7 @@ class TestNestedLift:
     def test_plain_residue_field_base_lifts_to_named_ring(self):
         # the rings carry no alpha, so a base over the plain F2 lifts to the
         # ring that `from_name` returns, with the alpha passed explicitly
-        base = CodeSpec("double", ChainRing(2, 1), 4, 1, (1, 1, 1, 0))
+        base = CodeSpec(ChainRing(2, 1), 1, (1, 1, 1, 0))
         specs = list(nested_lift(base, ChainRing.from_name("z4"), 3))
         assert len(specs) == 2
         for spec in specs:
@@ -310,33 +305,33 @@ class TestNestedLift:
 
     def test_rejects_base_alpha_that_is_not_the_projection(self):
         # also with m = 1, where no lifting step would check it
-        base = CodeSpec("double", F3, 2, 1, (1, 1))
+        base = CodeSpec(F3, 1, (1, 1))
         for ring in (F3, Z9):
             with pytest.raises(ValueError):
                 list(nested_lift(base, ring, 2))
 
     def test_rejects_non_field_base(self):
         with pytest.raises(ValueError):
-            list(nested_lift(CodeSpec("double", Z4, 2, 3, (1, 0)), Z8, 7))
+            list(nested_lift(CodeSpec(Z4, 3, (1, 0)), Z8, 7))
 
 
 class TestEnumerateLifts:
     def test_empty_solution_set(self):
-        from alphacirc.lifting import LiftSolutionSet
-
-        base = CodeSpec("double", Z2, 4, 1, (1, 1, 1, 0))
-        empty = LiftSolutionSet(None, (), 2)
-        assert list(enumerate_lifts(section_lift_spec(base, Z4, 3), empty)) == []
+        # (1, 0) is self-dual over F2, but (1 + 2 u0)^2 + (2 u1)^2 = 1 != -1
+        # over Z4: the system is inconsistent, so it has no solution rows
+        base = CodeSpec(Z2, 1, (1, 0))
+        assert solve_lift_system(*lift_system(base, Z4, 3), 2).shape == (0, 2)
+        assert list(self_dual_lifts(base, Z4, 3)) == []
 
     def test_unique_lift(self):
         # a zero-dimensional solution space still yields its one lift, with
         # integer (not float) coordinates
-        base = CodeSpec("double", ChainRing(5, 1), 1, 1, (2,))
+        base = CodeSpec(ChainRing(5, 1), 1, (2,))
         lifts = [spec.a for spec in self_dual_lifts(base, ChainRing(5, 2), 1)]
         assert lifts == [(7,)] and type(lifts[0][0]) is int
 
     def test_projection_property(self):
-        base = CodeSpec("bordered", Z2, 4, 1, (1, 1, 0), border=(0, 1, 1))
+        base = CodeSpec(Z2, 1, (1, 1, 0), border=(0, 1, 1))
         for spec in self_dual_lifts(base, Z4, 3):
             assert tuple(c % 2 for c in spec.a) == base.a
             assert tuple(b % 2 for b in spec.border) == base.border

@@ -8,7 +8,6 @@ import alphacirc.search
 import helpers
 from alphacirc import (
     ChainRing,
-    CircVec,
     CodeSpec,
     ConfigurationError,
     SearchConfig,
@@ -36,12 +35,12 @@ def cfg(**kw):
 class TestSearchConfig:
     def test_defaults(self):
         c = cfg()
-        assert c.k == 4 and c.kind == "double" and c.alpha == 3
+        assert c.k == 4 and not c.bordered and c.alpha == 3
         assert c.base_ring() == ChainRing(2, 1)
 
     def test_circ_alpha(self):
         assert cfg(family="double-circ").alpha == 1
-        assert cfg(family="bordered-circ").kind == "bordered"
+        assert cfg(family="bordered-circ").bordered
 
     def test_rejects_odd_or_tiny_length(self):
         with pytest.raises(ConfigurationError):
@@ -69,10 +68,10 @@ class TestBaseEnumeration:
     def test_orbit_appears_once(self):
         reps = enumerate_base_codes(cfg())
         Z2 = ChainRing(2, 1)
-        target = canonical_form(CircVec(Z2, 1, (1, 1, 1, 0))).coeffs
-        assert sum(1 for s in reps if s.a == target) == 1
+        target = canonical_form(CodeSpec(Z2, 1, (1, 1, 1, 0)))
+        assert sum(1 for s in reps if s == target) == 1
         for s in reps:
-            assert s.a == canonical_form(CircVec(Z2, 1, s.a)).coeffs
+            assert s == canonical_form(s)
 
     @pytest.mark.parametrize(
         "ring_name, n, family",
@@ -88,24 +87,23 @@ class TestBaseEnumeration:
         alpha = config.alpha % ring.p
         reps = {(s.a, s.border) for s in enumerate_base_codes(config)}
         expected = set()
-        if config.kind == "double":
-            candidates = itertools.product(itertools.product(range(ring.p), repeat=k), [None])
-        else:
+        if config.bordered:
             candidates = itertools.product(
                 itertools.product(range(ring.p), repeat=k - 1),
                 itertools.product(range(ring.p), repeat=3),
             )
+        else:
+            candidates = itertools.product(itertools.product(range(ring.p), repeat=k), [None])
         for a, border in candidates:
-            spec = CodeSpec(config.kind, ring, k, alpha, a, border)
+            spec = CodeSpec(ring, alpha, a, border)
             if not is_self_dual(spec):
                 continue
             if ring_name == "z4" and not is_doubly_even(spec):
                 continue
-            v = CircVec(ring, alpha, a)
             if border is None:
-                expected.add((min(helpers.orbit(v)), None))
+                expected.add((min(helpers.orbit(spec)), None))
             else:
-                expected.add(min(helpers.bordered_orbit(v, border), key=lambda st: st[0] + st[1]))
+                expected.add(min(helpers.bordered_orbit(spec), key=lambda st: st[0] + st[1]))
         assert reps == expected
 
     def test_bordered_reps_dedup(self):
@@ -251,6 +249,8 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("z8", 8, "double-nega"),
         ("z8", 8, "bordered-circ"),
         ("z9", 12, "double-nega"),
+        ("z2", 8, "bordered-circ"),
+        ("z9", 6, "double-circ"),
     ],
 )
 def test_golden_results_file(ring, n, family, tmp_path):
@@ -342,6 +342,14 @@ class TestCli:
         ])
         assert code == 1
 
+    def test_distance_double_rejects_border(self, capsys):
+        code = main([
+            "distance", "--ring", "z4", "--family", "double-nega",
+            "--vector", "1,3,3,2", "--border", "0,1,1",
+        ])
+        assert code == 1
+        assert "border" in capsys.readouterr().err
+
     def test_distance_short_border(self, capsys):
         code = main([
             "distance", "--ring", "z4", "--family", "bordered-circ",
@@ -357,9 +365,10 @@ class TestCli:
         assert code == 0
         assert capsys.readouterr().out.strip() == "0,1,1,1"
 
-    @pytest.mark.parametrize("ring, alpha", [("z4", "2"), ("z8", "3")])
+    @pytest.mark.parametrize("ring, alpha", [("z4", "2"), ("z8", "3"), ("z4", "7"), ("z4", "-1")])
     def test_canon_rejects_alpha(self, ring, alpha, capsys):
-        # 2 is no unit of Z4; 3 is a unit of Z8 with 3^2 = 1, but no Lee isometry
+        # 2 is no unit of Z4; 3 is a unit of Z8 with 3^2 = 1, but no Lee
+        # isometry; 7 and -1 reduce to 3 mod 4, but are no residues of Z4
         code = main(["canon", "--ring", ring, "--alpha", alpha, "--vector", "1,2,0"])
         assert code == 1
         captured = capsys.readouterr()
