@@ -10,11 +10,17 @@ oracle checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chainring import ChainRing, ChainRingError
+
+
+@functools.cache
+def _residues(size: int) -> frozenset[int]:
+    return frozenset(range(size))
 
 
 @dataclass(frozen=True)
@@ -41,8 +47,10 @@ class CodeSpec:
             raise ChainRingError("generating vector must be non-empty")
         if self.border is not None and len(self.border) != 3:
             raise ValueError(f"a border is (beta, gamma, delta), got {self.border!r}")
-        for c in self.a + (self.border or ()):
-            self.ring.elem(c)
+        coords = self.a + (self.border or ())
+        if not _residues(size).issuperset(coords):  # one pass; the loop names the culprit
+            for c in coords:
+                self.ring.elem(c)
 
     @property
     def k(self) -> int:

@@ -8,6 +8,23 @@ message of the generator -A^t G = (-A^t | I).  With s such sets, once round t
 yet seen weighs at least s t + i + 1, so the best weight found is exact once
 it is at most that bound.  An abort threshold returns the first witness
 weight below it instead.
+
+Each round scores one message per orbit of a group of signed permutations P
+of the message coordinates with P A = A P, the automorphisms of the
+quasi-cyclic structure (Grassl, "Searching for linear codes with large
+minimum distance", 2006).  The codeword (m P | m P A) = (m P | m A P) has the
+weight of (m | m A), and P commutes with A^t too, so on the second set
+(m P (-A^t) | m P) also keeps its weight: the messages of one orbit have the
+same weight on both halves of both sets, for Lee and Hamming weight alike.
+So the least message of each orbit stands for all of it, round t still sees
+every codeword weight of a weight-t message, and the round bound and the
+abort are unchanged.  The group always holds -1.  A double code with
+alpha = +-1 adds the powers of the alpha-shift T, (m_0, ..., m_{k-1}) ->
+(alpha m_{k-1}, m_0, ..., m_{k-2}); A is a polynomial in T.  A bordered code
+with alpha = 1 adds the cyclic shifts of the k - 1 core coordinates with the
+first one fixed, which keep the constant border row and column in place.
+For any other alpha the shift is no Lee isometry, and -1 is the whole group.
+The representatives of each (weight table, k, t, group) are cached.
 """
 
 from __future__ import annotations
@@ -21,6 +38,11 @@ from .circulant import CodeSpec, generator_matrix
 
 # message entries per evaluated block; bounds the work arrays (about 4 MB each)
 _BLOCK_ENTRIES = 2**19
+
+# A message group (fixed, wrap): the first `fixed` coordinates stay in place,
+# the others shift with multiplier `wrap` on the coordinate that wraps
+# around (wrap None: no shift), and the whole message may be negated.
+_Group = tuple[int, int | None]
 
 
 def lee_table(ring: ChainRing) -> np.ndarray:
@@ -66,7 +88,66 @@ def _message_blocks(table: tuple[int, ...], k: int, t: int, rows: int):
                 yield _prepend(v, block)
 
 
-def _min_weight(G: np.ndarray, mod: int, wtable: np.ndarray, early_abort_at: int | None) -> int:
+def _windows(D: np.ndarray, width: int) -> np.ndarray:
+    """Every length-`width` window of each row of the uint8 array D, as one
+    byte string each (views, not copies): byte strings of equal length
+    compare lexicographically, so rows compare as messages."""
+    D = np.ascontiguousarray(D)
+    return np.ndarray((len(D), D.shape[1] - width + 1), f"S{width}", D, strides=(D.shape[1], 1))
+
+
+def _orbit_leaders(M: np.ndarray, mod: int, group: _Group) -> np.ndarray:
+    """The rows of M that are lexicographically least in their orbit.
+
+    With X the shifted coordinates and Y = -X, the shifts of X are windows
+    of (X | X), or of (Y | X) for wrap = -1, and their negations windows of
+    (Y | Y), or of (X | Y); for wrap = -1 they are all the windows of
+    (X | Y | X).
+    """
+    fixed, wrap = group
+    if wrap is not None:
+        # unless X is zero, a least row has X ending in a nonzero and, if X
+        # has a zero, starting with one: else the shift by one, or one that
+        # brings a zero to the front, is smaller
+        nz = M[:, fixed:] != 0
+        M = M[nz[:, -1] & (~nz[:, 0] | nz.all(axis=1)) | ~nz.any(axis=1)]
+    N = (mod - M) % mod
+    X, Y = M[:, fixed:], N[:, fixed:]
+    k = X.shape[1]
+    row = _windows(X, k)
+    if wrap is None:
+        pos, neg = row[:, :0], _windows(Y, k)
+    elif wrap == 1:
+        pos, neg = _windows(np.hstack([X, X]), k)[:, 1:k], _windows(np.hstack([Y, Y]), k)[:, :k]
+    else:
+        pos, neg = _windows(np.hstack([X, Y, X]), k)[:, 1 : 2 * k], row[:, :0]
+    least = (row <= neg).all(axis=1)
+    if fixed:
+        least = (M[:, 0] < N[:, 0]) | ((M[:, 0] == N[:, 0]) & least)
+    return M[least & (row <= pos).all(axis=1)]
+
+
+@functools.cache
+def _representatives(table: tuple[int, ...], k: int, t: int, group: _Group) -> np.ndarray:
+    """The length-k messages of weight t that are least in their orbit under
+    `group`, one per row (cached, read-only), filtered block by block."""
+    blocks = _message_blocks(table, k, t, _BLOCK_ENTRIES // k)
+    blocks = [_orbit_leaders(M, len(table), group) for M in blocks]
+    layer = np.concatenate(blocks) if blocks else np.zeros((0, k), dtype=np.uint8)
+    layer.flags.writeable = False
+    return layer
+
+
+def _automorphisms(spec: CodeSpec) -> _Group:
+    """The message group of the spec's code (see the module docstring)."""
+    mod = spec.ring.size
+    if spec.border is not None:
+        return (1, 1) if spec.alpha == 1 else (0, None)
+    return (0, spec.alpha) if spec.alpha in (1, mod - 1) else (0, None)
+
+
+def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int | None) -> int:
+    G, mod, group = generator_matrix(spec), spec.ring.size, _automorphisms(spec)
     k = G.shape[0]
     if k < 1:
         raise ValueError("need a positive-rank code")
@@ -79,9 +160,10 @@ def _min_weight(G: np.ndarray, mod: int, wtable: np.ndarray, early_abort_at: int
     rows = _BLOCK_ENTRIES // k
     best = max(table) * 2 * k + 1
     for t in range(1, max(table) * k + 1):
+        layer = _representatives(table, k, t, group)
         for i, B in enumerate(sets):
-            for M in _message_blocks(table, k, t, rows):
-                other = (M @ B).astype(np.intp) % mod
+            for lo in range(0, len(layer), rows):
+                other = (layer[lo : lo + rows] @ B).astype(np.intp) % mod
                 block_min = t + int(wtable[other].sum(axis=1).min())
                 if block_min < best:
                     best = block_min
@@ -95,13 +177,13 @@ def _min_weight(G: np.ndarray, mod: int, wtable: np.ndarray, early_abort_at: int
 def min_lee_distance(spec: CodeSpec, early_abort_at: int | None = None) -> int:
     """Exact minimum Lee weight of the code, or a witness weight below the
     abort threshold if one is found first."""
-    return _min_weight(generator_matrix(spec), spec.ring.size, lee_table(spec.ring), early_abort_at)
+    return _min_weight(spec, lee_table(spec.ring), early_abort_at)
 
 
 def min_hamming_distance(spec: CodeSpec) -> int:
     """Exact minimum Hamming weight of the code."""
     wtable = (np.arange(spec.ring.size) != 0).astype(np.int64)
-    return _min_weight(generator_matrix(spec), spec.ring.size, wtable, None)
+    return _min_weight(spec, wtable, None)
 
 
 def is_doubly_even(spec: CodeSpec) -> bool:

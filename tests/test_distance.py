@@ -1,6 +1,8 @@
+import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import helpers
@@ -17,7 +19,9 @@ from alphacirc import (
     min_lee_distance,
     run_search,
 )
-from alphacirc.distance import _message_blocks, lee_table
+from alphacirc import distance
+from alphacirc.distance import _automorphisms, _message_blocks, _representatives, lee_table
+from alphacirc.search import FAMILIES
 from helpers import hamming_weight, lee_weight
 
 Z2 = ChainRing(2, 1)
@@ -192,7 +196,7 @@ class TestCertifierAtProductionSize:
     def test_one_information_set(self):
         # a singular right half, and a [24,12] code one entry away from a
         # self-dual winner: neither is self-orthogonal, so only the left half
-        # is an information set and the weight-t layers outgrow one block
+        # is an information set and the sweep runs up to weight d - 1
         singular = CodeSpec(Z4, 3, (2, 2, 0, 0))
         config = SearchConfig(ring=Z4, n=24, family="double-nega")
         winner = run_search(config).records[0].lift_spec()
@@ -214,6 +218,129 @@ class TestCertifierAtProductionSize:
                 if sum(table[c] for c in m) == t
             ]
             assert sorted(rows) == expected
+
+
+@functools.cache
+def layer_tuples(table, k, t):
+    """Every length-k message of weight exactly t, as tuples."""
+    if k == 0:
+        return [()] if t == 0 else []
+    return [
+        (v,) + rest
+        for v, w in enumerate(table)
+        if w <= t
+        for rest in layer_tuples(table, k - 1, t - w)
+    ]
+
+
+def message_orbit(m, mod, group):
+    """The orbit of message m, from the group's definition on tuples: the
+    first `fixed` coordinates stay, the rest take every power of the shift
+    (c_0, ..., c_{r-1}) -> (wrap c_{r-1}, c_0, ..., c_{r-2}), and the whole
+    message may be negated."""
+    fixed, wrap = group
+    head, x = m[:fixed], m[fixed:]
+    shifts = [x]
+    for _ in range(len(x) if wrap is not None else 0):
+        x = (wrap * x[-1] % mod,) + x[:-1]
+        shifts.append(x)
+    return {tuple(s * c % mod for c in head + x) for x in shifts for s in (1, mod - 1)}
+
+
+def random_spec(rng, ring, family, k):
+    alpha = ring.size - 1 if family == "double-nega" else 1
+    digits = [rng.randrange(ring.size) for _ in range(k + 2)]
+    if family == "bordered-circ":
+        return CodeSpec(ring, alpha, tuple(digits[: k - 1]), tuple(digits[k - 1 :]))
+    return CodeSpec(ring, alpha, tuple(digits[:k]))
+
+
+def assert_matches_oracles(spec):
+    """Lee (exact and at abort thresholds d, d + 1) and Hamming certifiers
+    against the exhaustive oracle."""
+    G, mod = generator_matrix(spec), spec.ring.size
+    table = lee_table(spec.ring)
+    assert_certifier_matches(lambda abort=None: helpers.mitm_min_weight(G, mod, table, abort), spec)
+    assert min_hamming_distance(spec) == helpers.mitm_min_weight(G, mod, table != 0), spec
+
+
+class TestOrbitReduction:
+    """The certifier scores one message per orbit of the spec's group."""
+
+    @pytest.mark.parametrize("ring,kmax", [(Z4, 8), (Z8, 6), (Z9, 6)], ids=["z4", "z8", "z9"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_oracle_every_k(self, ring, kmax, family):
+        # random specs, almost never self-orthogonal (one information set),
+        # and the search's self-dual lifts where the length admits them
+        rng = random.Random(f"{ring.name}-{family}")
+        for k in range(2 if family == "bordered-circ" else 1, kmax + 1):
+            specs = [random_spec(rng, ring, family, k) for _ in range(2)]
+            if ring.size != 4 or k % 4 == 0:
+                specs += search_lifts(ring.name, 2 * k, family)[2][:3]
+            for spec in specs:
+                assert_matches_oracles(spec)
+
+    def test_other_alpha_keeps_only_negation(self):
+        rng = random.Random(5)
+        for alpha in (3, 5):
+            for k in range(1, 6):
+                specs = [
+                    CodeSpec(Z8, alpha, tuple(rng.randrange(8) for _ in range(k))),
+                    CodeSpec(Z8, alpha, tuple(rng.randrange(8) for _ in range(k)), (1, 2, 7)),
+                ]
+                for spec in specs:
+                    assert _automorphisms(spec) == (0, None)
+                    assert_matches_oracles(spec)
+
+    def test_group_preserves_both_halves(self):
+        # every message in an orbit gives the same weight on each
+        # information set, which is what the reduced sweep relies on
+        rng = random.Random(6)
+        specs = [random_spec(rng, ring, family, k)
+                 for ring in (Z4, Z9) for family in FAMILIES for k in (2, 3, 4)]
+        specs += [CodeSpec(Z8, 3, (1, 2, 5)), CodeSpec(Z4, 1, (1, 1, 2), (3, 1, 2))]
+        for spec in specs:
+            k, mod, table = spec.k, spec.ring.size, lee_table(spec.ring)
+            A = generator_matrix(spec)[:, k:]
+            messages = list(itertools.product(range(mod), repeat=k))
+            index = {m: i for i, m in enumerate(messages)}
+            for B in (A, -A.T % mod):
+                weights = table[np.array(messages) @ B % mod].sum(axis=1)
+                for m in messages:
+                    orbit = message_orbit(m, mod, _automorphisms(spec))
+                    assert {int(weights[index[g]]) for g in orbit} == {int(weights[index[m]])}, spec
+
+    @pytest.mark.parametrize(
+        "ring,k,tmax",
+        [(Z4, 6, 6), (Z8, 5, 5), (Z9, 4, 5), (Z9, 21, 2)],
+        ids=["z4-k6", "z8-k5", "z9-k4", "z9-k21"],
+    )
+    def test_representatives_cover_each_orbit_once(self, ring, k, tmax):
+        # at Z9, k = 21 a message read as a base-9 number exceeds 2^64
+        mod = ring.size
+        table = tuple(lee_table(ring).tolist())
+        for group in [(0, 1), (0, mod - 1), (1, 1), (0, None)]:
+            for t in range(1, tmax + 1):
+                reps = [tuple(r) for r in _representatives(table, k, t, group).tolist()]
+                leaders = {min(message_orbit(m, mod, group)) for m in layer_tuples(table, k, t)}
+                assert len(reps) == len(set(reps)) and set(reps) == leaders, (group, t)
+
+    def test_blocks_split_in_build_and_sweep(self, monkeypatch):
+        # with blocks of 16 messages the layers of a [16,8] code are built
+        # from many blocks and swept in many slices
+        monkeypatch.setattr(distance, "_BLOCK_ENTRIES", 128)
+        _representatives.cache_clear()
+        try:
+            rng = random.Random(7)
+            specs = search_lifts("z4", 16, "double-nega")[2][:2] + search_lifts(
+                "z4", 16, "bordered-circ")[2][:2]
+            specs += [random_spec(rng, Z4, family, 8) for family in FAMILIES]
+            for spec in specs:
+                assert_matches_oracles(spec)
+            table = tuple(lee_table(Z4).tolist())
+            assert len(_representatives(table, 8, 4, (0, 3))) > 128 // 8
+        finally:
+            _representatives.cache_clear()
 
 
 class TestDoublyEven:
