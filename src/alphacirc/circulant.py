@@ -98,6 +98,50 @@ def is_self_dual(spec: CodeSpec) -> bool:
     return not gram_matrix(spec).any()
 
 
+def self_dual_mask(
+    ring: ChainRing,
+    alpha: int,
+    words: list[tuple[int, ...]],
+    borders: list[tuple[int, int, int]] | None = None,
+) -> np.ndarray:
+    """`is_self_dual` for a block of words at once, from their row-0
+    autocorrelations.
+
+    mask[i] says whether CodeSpec(ring, alpha, words[i]) is self-dual; with
+    `borders`, mask[i, b] says it for CodeSpec(ring, alpha, words[i], borders[b]).
+
+    Row 0 decides: with P the alpha-shift, cir(a) = a(P), and alpha^2 = 1
+    makes P a signed permutation, so P^t = P^{-1} = alpha P^{k-1}.  Then
+    A A^t is again a polynomial in P, an alpha-circulant matrix fixed by its
+    first row c_j = a . row_j(A), the autocorrelation of a under the
+    alpha-shift.  A double code (I | A) is self-dual iff A A^t = -I, i.e.
+    c_0 = -1 and c_j = 0 for 1 <= j < k.
+
+    A bordered right half [[beta, gamma 1^t], [delta 1, A]] with a
+    circulant core A of length c = k - 1 (alpha = 1, so every row of A sums
+    to sum(a)) is self-dual iff
+        1 + beta^2 + c gamma^2 = 0,  beta delta + gamma sum(a) = 0,
+        c_0 = -1 - delta^2  and  c_j = -delta^2 for j >= 1.
+    """
+    mod = ring.size
+    if alpha * alpha % mod != 1 or (borders is not None and alpha % mod != 1):
+        raise ValueError(
+            f"the row-0 test needs alpha^2 = 1, and alpha = 1 with a border; got alpha = {alpha}"
+        )
+    a = np.array(words, dtype=np.int64)
+    c = a.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(np.hstack([alpha * a % mod, a]), c, axis=1)
+    # row j of cir(a) is the window starting at c - j; the identity adds 1 to c_0
+    corr = (np.einsum("nt,njt->nj", a, windows[:, c:0:-1]) + np.eye(1, c, dtype=np.int64)) % mod
+    if borders is None:
+        return ~corr.any(axis=1)
+    beta, gamma, delta = np.array(borders, dtype=np.int64).T
+    core = np.stack([(corr == -d * d % mod).all(axis=1) for d in range(mod)], axis=1)
+    corner = (1 + beta * beta + c * gamma * gamma) % mod == 0
+    edge = (beta * delta + np.outer(a.sum(axis=1), gamma)) % mod == 0
+    return core[:, delta] & corner & edge
+
+
 def parse_vector(text: str) -> tuple[int, ...]:
     """Parse the comma-separated least-residue serialization, index 0 first."""
     try:

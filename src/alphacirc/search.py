@@ -16,12 +16,15 @@ import os
 from dataclasses import dataclass, field
 
 from .chainring import ChainRing
-from .circulant import CodeSpec, format_vector, is_self_dual, parse_vector
+from .circulant import CodeSpec, format_vector, is_self_dual, parse_vector, self_dual_mask
 from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form, canonical_form_bordered, necklaces
 from .lifting import nested_lift
 
 FAMILIES = ("double-nega", "double-circ", "bordered-circ")
+
+# Necklaces per sieve block: the block arrays stay around a megabyte at k = 32.
+_BLOCK = 4096
 
 
 class ConfigurationError(ValueError):
@@ -75,8 +78,8 @@ class SearchConfig:
         if self.n > 24 and not self.extended:
             raise ConfigurationError(
                 f"n = {self.n} > 24 needs extended=True (--extended): on a 2-core VM"
-                " Z4 n = 32 took about 1 s (double-nega) and 4 s (bordered-circ),"
-                " and Z4 n = 40 about 2 min (double-nega) and 2.5 min (bordered-circ)"
+                " Z4 n = 32 took about 1 s (double-nega) and 2.5 s (bordered-circ),"
+                " and Z4 n = 40 about 1.5 min in each family"
             )
         if self.n > 64:
             raise ConfigurationError("lengths beyond 64 are unsupported")
@@ -173,23 +176,34 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
     alpha = 1.  With alpha = 1 rotation is in the group, so every orbit
     contains a candidate.  For double-nega over F_3 rotation is not in the
     group; there the walk is checked against every self-dual vector at small
-    n, not proven complete.  Z4 targets additionally require the doubly-even
-    property of the base.
+    n, not proven complete.
+
+    The necklaces are sieved in blocks of `_BLOCK` by `self_dual_mask`: the
+    Gram matrix of the alpha-circulant part is alpha-circulant, so the row-0
+    autocorrelations c_j decide self-duality (c_0 = -1, c_j = 0 for doubles),
+    and a bordered core with border (beta, gamma, delta) must also satisfy
+    1 + beta^2 + (k-1) gamma^2 = 0 and beta delta + gamma sum(core) = 0, with
+    c_0 = -1 - delta^2 and c_j = -delta^2.  Only the survivors become specs;
+    Z4 targets additionally require the doubly-even property of the base.
+    They are deduplicated by canonical form in candidate order (necklace,
+    then border, both lexicographic).
     """
     ring = cfg.base_ring()
     alpha = cfg.alpha % ring.p
     need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2
     if cfg.bordered:
-        borders = itertools.product(range(ring.p), repeat=3)
-        candidates = itertools.product(necklaces(cfg.k - 1, ring.p), borders)
+        words = necklaces(cfg.k - 1, ring.p)
+        borders = list(itertools.product(range(ring.p), repeat=3))
     else:
-        candidates = itertools.product(necklaces(cfg.k, ring.p), [None])
+        words, borders = necklaces(cfg.k, ring.p), None
     reps: dict[CodeSpec, None] = {}  # an insertion-ordered set
-    for a, border in candidates:
-        spec = CodeSpec(ring, alpha, a, border)
-        if not is_self_dual(spec) or (need_doubly_even and not is_doubly_even(spec)):
-            continue
-        reps[canonical_form(spec) if border is None else canonical_form_bordered(spec)] = None
+    while block := list(itertools.islice(words, _BLOCK)):
+        mask = self_dual_mask(ring, alpha, block, borders).reshape(len(block), -1)
+        for i, b in zip(*mask.nonzero()):
+            spec = CodeSpec(ring, alpha, block[i], None if borders is None else borders[b])
+            if need_doubly_even and not is_doubly_even(spec):
+                continue
+            reps[canonical_form(spec) if borders is None else canonical_form_bordered(spec)] = None
     return list(reps)
 
 

@@ -11,8 +11,22 @@ from math import gcd
 
 import numpy as np
 
-from alphacirc import ChainRing, CodeSpec, cir, generator_matrix, is_self_dual
-from alphacirc.equivalence import shift_right, substitute
+from alphacirc import (
+    ChainRing,
+    CodeSpec,
+    SearchConfig,
+    cir,
+    generator_matrix,
+    is_doubly_even,
+    is_self_dual,
+)
+from alphacirc.equivalence import (
+    canonical_form,
+    canonical_form_bordered,
+    necklaces,
+    shift_right,
+    substitute,
+)
 
 Z2 = ChainRing(2, 1)
 
@@ -222,6 +236,26 @@ def self_dual_bordered_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
             if is_self_dual(CodeSpec(ring, alpha, core, border)):
                 out.append((core, border))
     return out
+
+
+def enumerate_base_codes_oracle(cfg: SearchConfig) -> list[CodeSpec]:
+    """`enumerate_base_codes` one candidate at a time: a spec and a dense
+    Gram matrix (`is_self_dual`) for every necklace crossed with every border."""
+    ring = cfg.base_ring()
+    alpha = cfg.alpha % ring.p
+    need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2
+    if cfg.bordered:
+        borders = itertools.product(range(ring.p), repeat=3)
+        candidates = itertools.product(necklaces(cfg.k - 1, ring.p), borders)
+    else:
+        candidates = itertools.product(necklaces(cfg.k, ring.p), [None])
+    reps: dict[CodeSpec, None] = {}  # an insertion-ordered set
+    for a, border in candidates:
+        spec = CodeSpec(ring, alpha, a, border)
+        if not is_self_dual(spec) or (need_doubly_even and not is_doubly_even(spec)):
+            continue
+        reps[canonical_form(spec) if border is None else canonical_form_bordered(spec)] = None
+    return list(reps)
 
 
 def shift_left(a: tuple[int, ...], alpha: int, mod: int) -> tuple[int, ...]:

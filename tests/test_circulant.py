@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -14,10 +15,12 @@ from alphacirc import (
     is_self_dual,
     parse_vector,
 )
+from alphacirc.circulant import self_dual_mask
 
 Z2 = ChainRing(2, 1)
 Z4 = ChainRing(2, 2)
 Z9 = ChainRing(3, 2)
+F3 = ChainRing(3, 1)
 
 
 def rand_vec(ring, k, rng):
@@ -138,6 +141,32 @@ class TestSelfDual:
             minus_i = (Z4.size - 1) * np.eye(k, dtype=np.int64) % 4
             expected = np.array_equal(A @ A.T % 4, minus_i)
             assert is_self_dual(CodeSpec(Z4, 3, v)) == expected
+
+
+class TestSelfDualMask:
+    @pytest.mark.parametrize(
+        "ring, alpha, max_k",
+        [(Z2, 1, 10), (F3, 1, 6), (F3, 2, 6), (Z4, 1, 4), (Z4, 3, 4)],
+        ids=["f2", "f3", "f3-nega", "z4", "z4-nega"],
+    )
+    def test_matches_is_self_dual_on_every_word(self, ring, alpha, max_k):
+        # every word, not only necklaces, and every border of every core
+        size = ring.size
+        borders = list(itertools.product(range(size), repeat=3))
+        for k in range(1, max_k + 1):
+            words = list(itertools.product(range(size), repeat=k))
+            expected = [is_self_dual(CodeSpec(ring, alpha, a)) for a in words]
+            assert self_dual_mask(ring, alpha, words).tolist() == expected, k
+            if alpha == 1 and k >= 2:
+                cores = list(itertools.product(range(size), repeat=k - 1))
+                expected = [[is_self_dual(CodeSpec(ring, 1, a, b)) for b in borders] for a in cores]
+                assert self_dual_mask(ring, 1, cores, borders).tolist() == expected, k
+
+    def test_rejects_alpha_outside_the_row_0_argument(self):
+        with pytest.raises(ValueError):
+            self_dual_mask(ChainRing(5, 1), 2, [(1, 0)])
+        with pytest.raises(ValueError):
+            self_dual_mask(F3, 2, [(1, 0)], [(0, 0, 0)])
 
 
 class TestAlgebraProperties:

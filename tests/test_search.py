@@ -111,6 +111,26 @@ class TestBaseEnumeration:
         pairs = {(s.a, s.border) for s in reps}
         assert len(pairs) == len(reps)
 
+    @pytest.mark.parametrize("family", alphacirc.search.FAMILIES)
+    @pytest.mark.parametrize(
+        "ring_name, n",
+        [("z2", n) for n in (4, 6, 10, 16)]
+        + [("z4", n) for n in (8, 16, 24, 32)]
+        + [("z8", n) for n in (4, 8, 16)]
+        + [("z9", n) for n in (4, 6, 12, 16)],
+    )
+    def test_matches_oracle(self, ring_name, n, family):
+        # same representatives in the same order as the per-candidate loop;
+        # n = 4 gives bordered cores of length 1
+        config = cfg(ring=ChainRing.from_name(ring_name), n=n, family=family, extended=True)
+        assert enumerate_base_codes(config) == helpers.enumerate_base_codes_oracle(config)
+
+    @pytest.mark.parametrize("family", alphacirc.search.FAMILIES)
+    def test_order_kept_across_blocks(self, family, monkeypatch):
+        monkeypatch.setattr(alphacirc.search, "_BLOCK", 5)
+        for config in (cfg(n=16, family=family), cfg(ring=ChainRing(3, 2), n=12, family=family)):
+            assert enumerate_base_codes(config) == helpers.enumerate_base_codes_oracle(config)
+
 
 class TestRunSearch:
     def test_n8_nega(self):
