@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .chainring import ChainRing, ChainRingError
+from .chainring import ChainRing
 from .circulant import CodeSpec, format_vector, parse_vector
 from .distance import min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form
 from .search import (
     FAMILIES,
-    ConfigurationError,
     SearchConfig,
     family_spec,
     read_records,
@@ -45,7 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="has no effect: searches run on one thread")
     p.add_argument("--out", help="results file (line-delimited records)")
     p.add_argument("--checkpoint", help="checkpoint file for resume")
-    p.add_argument("--extended", action="store_true", help="allow n > 24 long runs")
     p.add_argument("--no-prune", action="store_true",
                    help="disable the 2*d_Ham cutoff and early aborts (for auditing)")
 
@@ -73,7 +71,6 @@ def _cmd_search(args) -> int:
         family=args.family,
         out=args.out,
         checkpoint=args.checkpoint,
-        extended=args.extended,
         prune=not args.no_prune,
     )
     result = run_search(cfg)
@@ -128,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, ChainRingError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:

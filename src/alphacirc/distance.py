@@ -99,10 +99,8 @@ def _windows(D: np.ndarray, width: int) -> np.ndarray:
 def _orbit_leaders(M: np.ndarray, mod: int, group: _Group) -> np.ndarray:
     """The rows of M that are lexicographically least in their orbit.
 
-    With X the shifted coordinates and Y = -X, the shifts of X are windows
-    of (X | X), or of (Y | X) for wrap = -1, and their negations windows of
-    (Y | Y), or of (X | Y); for wrap = -1 they are all the windows of
-    (X | Y | X).
+    With X the shifted coordinates and Y = -X, the shifts of X are the
+    windows of (X | wrap X) and their negations the windows of (Y | wrap Y).
     """
     fixed, wrap = group
     if wrap is not None:
@@ -117,10 +115,9 @@ def _orbit_leaders(M: np.ndarray, mod: int, group: _Group) -> np.ndarray:
     row = _windows(X, k)
     if wrap is None:
         pos, neg = row[:, :0], _windows(Y, k)
-    elif wrap == 1:
-        pos, neg = _windows(np.hstack([X, X]), k)[:, 1:k], _windows(np.hstack([Y, Y]), k)[:, :k]
     else:
-        pos, neg = _windows(np.hstack([X, Y, X]), k)[:, 1 : 2 * k], row[:, :0]
+        wX, wY = (X, Y) if wrap == 1 else (Y, X)
+        pos, neg = _windows(np.hstack([X, wX]), k)[:, 1:k], _windows(np.hstack([Y, wY]), k)[:, :k]
     least = (row <= neg).all(axis=1)
     if fixed:
         least = (M[:, 0] < N[:, 0]) | ((M[:, 0] == N[:, 0]) & least)
@@ -149,8 +146,6 @@ def _automorphisms(spec: CodeSpec) -> _Group:
 def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int | None) -> int:
     G, mod, group = generator_matrix(spec), spec.ring.size, _automorphisms(spec)
     k = G.shape[0]
-    if k < 1:
-        raise ValueError("need a positive-rank code")
     A = G[:, k:]
     sets = [A]  # per information set: its message times this is the other half
     if np.array_equal(A @ A.T % mod, (mod - 1) * np.eye(k, dtype=A.dtype)):

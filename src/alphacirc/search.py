@@ -60,7 +60,6 @@ class SearchConfig:
     family: str
     out: str | None = None
     checkpoint: str | None = None
-    extended: bool = False
     prune: bool = True
 
     def __post_init__(self) -> None:
@@ -74,12 +73,6 @@ class SearchConfig:
         if self.ring.size == 4 and self.n % 8:
             raise ConfigurationError(
                 f"self-dual Z4 codes of these families need n divisible by 8, got {self.n}"
-            )
-        if self.n > 24 and not self.extended:
-            raise ConfigurationError(
-                f"n = {self.n} > 24 needs extended=True (--extended): on a 2-core VM"
-                " Z4 n = 32 took about 1 s (double-nega) and 2.5 s (bordered-circ),"
-                " and Z4 n = 40 about 1.5 min in each family"
             )
         if self.n > 64:
             raise ConfigurationError("lengths beyond 64 are unsupported")
@@ -101,9 +94,10 @@ class SearchConfig:
 
     def fingerprint(self) -> str:
         """Identifies the search a checkpoint belongs to.  The trailing format
-        tag says its counts and witnesses are per lift orbit; a checkpoint
-        without it counted every lift and is not resumed."""
-        return f"{self.family}:{self.ring.name}:{self.n}:{int(self.prune)}:orbit-lifts"
+        tag says the checkpoint holds `SearchResult`'s fields, with counts and
+        witnesses per lift orbit; a checkpoint with another tag (per-lift
+        counts, or the older key names) is not resumed."""
+        return f"{self.family}:{self.ring.name}:{self.n}:{int(self.prune)}:result-fields"
 
 
 @dataclass
@@ -157,7 +151,10 @@ class SearchRecord:
 
 @dataclass
 class SearchResult:
-    best_d_lee: int
+    """The state of a search: `run_search` updates it in place, checkpoints
+    it after each base and returns it."""
+
+    best_d_lee: int = 0
     all_records: list[SearchRecord] = field(default_factory=list)
     bases_examined: int = 0
     lifts_examined: int = 0
@@ -221,52 +218,47 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(path + ".tmp", path)
 
 
-def _write_checkpoint(
-    cfg: SearchConfig, done: int, d: int, lifts: int, records: list[SearchRecord]
-) -> None:
+def _write_checkpoint(cfg: SearchConfig, result: SearchResult) -> None:
     if cfg.checkpoint is None:
         return
     saved = {
+        **vars(result),
         "fingerprint": cfg.fingerprint(),
-        "bases_done": done,
-        "best_d_lee": d,
-        "lifts_examined": lifts,
-        "records": [r.to_line() for r in records],
+        "all_records": [r.to_line() for r in result.all_records],
     }
     _write_atomic(cfg.checkpoint, json.dumps(saved))
 
 
-def _read_checkpoint(cfg: SearchConfig) -> tuple[int, int, int, list[SearchRecord]]:
-    """Bases done, best d, lifts examined and records saved for this search."""
+def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
+    """The state saved for this search, or a fresh one when there is none."""
     if cfg.checkpoint is None:
-        return 0, 0, 0, []
+        return SearchResult()
     try:
         with open(cfg.checkpoint, encoding="utf-8") as fh:
             state = json.load(fh)
     except (OSError, json.JSONDecodeError):
-        return 0, 0, 0, []
-    if state.get("fingerprint") != cfg.fingerprint():
-        return 0, 0, 0, []
-    records = [SearchRecord.from_line(line) for line in state.get("records", [])]
-    counts = (int(state.get(key, 0)) for key in ("bases_done", "best_d_lee", "lifts_examined"))
-    return (*counts, records)
+        return SearchResult()
+    if state.pop("fingerprint", None) != cfg.fingerprint():
+        return SearchResult()
+    records = [SearchRecord.from_line(line) for line in state.pop("all_records", [])]
+    return SearchResult(**state, all_records=records)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
     """The main loop: bases in descending d_Ham order, stop at 2 d_Ham <= d."""
     bases = _sorted_bases(cfg)
-    start_at, d, lifts_examined, all_records = _read_checkpoint(cfg)
-    done = start_at
-    for base, d_ham in bases[start_at:]:
-        if cfg.prune and 2 * d_ham <= d:
+    result = _read_checkpoint(cfg)
+    for base, d_ham in bases[result.bases_examined:]:
+        if cfg.prune and 2 * d_ham <= result.best_d_lee:
             break
         for lift in nested_lift(base, cfg.ring, cfg.alpha):
-            lifts_examined += 1
-            val = min_lee_distance(lift, early_abort_at=d if cfg.prune and d > 0 else None)
-            if val >= d:
+            result.lifts_examined += 1
+            abort = result.best_d_lee if cfg.prune and result.best_d_lee > 0 else None
+            val = min_lee_distance(lift, early_abort_at=abort)
+            if val >= result.best_d_lee:
                 # exact by construction: the abort threshold never exceeds d
-                d = val
-                all_records.append(
+                result.best_d_lee = val
+                result.all_records.append(
                     SearchRecord(
                         family=cfg.family,
                         ring_name=cfg.ring.name,
@@ -278,12 +270,9 @@ def run_search(cfg: SearchConfig) -> SearchResult:
                         d_ham_base=d_ham,
                     )
                 )
-        done += 1
-        _write_checkpoint(cfg, done, d, lifts_examined, all_records)
+        result.bases_examined += 1
+        _write_checkpoint(cfg, result)
 
-    result = SearchResult(
-        best_d_lee=d, all_records=all_records, bases_examined=done, lifts_examined=lifts_examined
-    )
     if cfg.out is not None:
         write_records(cfg, result)
     return result

@@ -9,16 +9,36 @@ import pytest
 
 import alphacirc.cli
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _import_script(monkeypatch, directory: str, name: str):
+    """A benchmark module imported from its directory without writing there."""
+    monkeypatch.syspath_prepend(str(ROOT / directory))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.delitem(sys.modules, name, raising=False)
+    return importlib.import_module(name)
 
 
 @pytest.fixture
 def tracer(monkeypatch):
-    """perfbench's tracer module, imported without writing into perfbench/."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    monkeypatch.delitem(sys.modules, "tracer", raising=False)
-    return importlib.import_module("tracer")
+    return _import_script(monkeypatch, "perfbench", "tracer")
+
+
+def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
+    # every command line the two benchmarks hand to the CLI: a dropped or
+    # renamed option would otherwise only show as failed benchmark runs
+    workloads = _import_script(monkeypatch, "perfbench", "workloads")
+    frontier = _import_script(monkeypatch, "bench", "frontier")
+    searches = [s for group in workloads.WORKLOADS.values() for s in group]
+    argvs = [s.search_argv(str(tmp_path / "out.txt"), str(tmp_path / "state.json"))
+             for s in searches + list(workloads.SELF_CHECK)]
+    argvs.append(["verify", "--in", str(tmp_path / "out.txt")])
+    argvs += [[arg.format(dir=tmp_path) for arg in argv]
+              for steps in frontier.CASES.values() for _, argv in steps]
+    parser = alphacirc.cli._build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv).command == argv[0]
 
 
 def test_tracer_targets_resolve(tracer):

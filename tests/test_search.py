@@ -52,12 +52,11 @@ class TestSearchConfig:
         with pytest.raises(ConfigurationError):
             cfg(n=12)
 
-    def test_long_lengths_need_extended(self):
+    def test_rejects_lengths_beyond_64(self):
+        cfg(n=32)
+        cfg(n=64)
         with pytest.raises(ConfigurationError):
-            cfg(n=32)
-        cfg(n=32, extended=True)
-        with pytest.raises(ConfigurationError):
-            cfg(n=72, extended=True)
+            cfg(n=72)
 
     def test_rejects_bad_family(self):
         with pytest.raises(ConfigurationError):
@@ -122,7 +121,7 @@ class TestBaseEnumeration:
     def test_matches_oracle(self, ring_name, n, family):
         # same representatives in the same order as the per-candidate loop;
         # n = 4 gives bordered cores of length 1
-        config = cfg(ring=ChainRing.from_name(ring_name), n=n, family=family, extended=True)
+        config = cfg(ring=ChainRing.from_name(ring_name), n=n, family=family)
         assert enumerate_base_codes(config) == helpers.enumerate_base_codes_oracle(config)
 
     @pytest.mark.parametrize("family", alphacirc.search.FAMILIES)
@@ -200,7 +199,7 @@ class TestRunSearch:
             run_search(config)
         monkeypatch.undo()
         state = json.loads(ck.read_text())
-        assert state["bases_done"] == 1
+        assert state["bases_examined"] == 1
         resumed = run_search(config)
         assert resumed.best_d_lee == 8
         fresh = run_search(cfg(n=16, prune=False))
@@ -212,28 +211,32 @@ class TestRunSearch:
 
     def test_checkpoint_fingerprint_mismatch_ignored(self, tmp_path):
         ck = tmp_path / "state.json"
-        ck.write_text(json.dumps({"fingerprint": "other", "bases_done": 99}))
+        ck.write_text(json.dumps({"fingerprint": "other", "bases_examined": 99}))
         result = run_search(cfg(checkpoint=str(ck)))
         assert result.best_d_lee == 6
 
     def test_checkpoint_from_per_lift_format_ignored(self, tmp_path):
         # a checkpoint written when every lift was evaluated holds per-lift
-        # counts and witnesses; the search starts over instead of resuming it
+        # counts and witnesses, and one written before the checkpoint took
+        # SearchResult's field names has other keys; the search starts over
+        # instead of resuming either
         ck = tmp_path / "state.json"
         fresh = run_search(cfg(n=16))
-        old = {
-            "fingerprint": "double-nega:z4:16:1",
-            "bases_done": 1,
-            "best_d_lee": 8,
-            "lifts_examined": 10_000,
-            "records": ["double-nega z4 16 base=0 lift=0 border=- d_lee=8 d_ham_base=4"],
-        }
-        ck.write_text(json.dumps(old))
-        resumed = run_search(cfg(n=16, checkpoint=str(ck)))
         key = lambda r: (r.base, r.lift, r.border or ())
-        assert resumed.lifts_examined == fresh.lifts_examined
-        assert list(map(key, resumed.all_records)) == list(map(key, fresh.all_records))
-        assert json.loads(ck.read_text())["fingerprint"] == cfg(n=16).fingerprint()
+        for tag in ("", ":orbit-lifts"):
+            old = {
+                "fingerprint": "double-nega:z4:16:1" + tag,
+                "bases_done": 1,
+                "best_d_lee": 8,
+                "lifts_examined": 10_000,
+                "records": ["double-nega z4 16 base=0 lift=0 border=- d_lee=8 d_ham_base=4"],
+            }
+            ck.write_text(json.dumps(old))
+            resumed = run_search(cfg(n=16, checkpoint=str(ck)))
+            assert resumed.lifts_examined == fresh.lifts_examined
+            assert resumed.bases_examined == fresh.bases_examined
+            assert list(map(key, resumed.all_records)) == list(map(key, fresh.all_records))
+            assert json.loads(ck.read_text())["fingerprint"] == cfg(n=16).fingerprint()
 
     @pytest.mark.parametrize(
         "ring, n, family",
