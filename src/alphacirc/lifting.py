@@ -12,8 +12,9 @@ which is F_q-linear in the t ideal coordinates u of the lift vector a + border
 column v of the system is the change in the upper Gram triangle when
 coordinate v of G_0 moves by theta^{m-1}, divided by theta^{m-1} and reduced
 mod theta; only `circulant.generator_matrix` knows where a coordinate sits in
-G.  Solving the system yields an affine subspace of F_q^t describing exactly
-the self-dual lifts; chaining the step through R/(theta^2), R/(theta^3), ...,
+G.  The module solves the system M u = rhs itself, as the kernel of
+(M | -rhs) over F_q; its solutions, an affine subspace of F_q^t, are exactly
+the self-dual lifts.  Chaining the step through R/(theta^2), R/(theta^3), ...,
 R constructs all self-dual codes over R above a base-field code, and keeping
 one lift per orbit of the Lee-isometric group of `equivalence` at each level
 leaves one code per equivalence class.
@@ -28,7 +29,6 @@ import numpy as np
 from .chainring import ChainRing, ChainRingError
 from .circulant import CodeSpec, gram_matrix
 from .equivalence import canonical_form, canonical_form_bordered
-from .gfsolve import solve_affine
 
 
 class BaseNotSelfDual(ValueError):
@@ -93,15 +93,34 @@ def build_lift_system(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def solve_lift_system(matrix: np.ndarray, rhs: np.ndarray, q: int) -> np.ndarray:
-    """Every solution u of matrix u = rhs over F_q, one per row, the
-    particular solution first; no rows when the system is inconsistent."""
-    sol = solve_affine(matrix, rhs, q)
-    if sol is None:
-        return np.zeros((0, matrix.shape[1]), dtype=np.int64)
-    particular, basis = sol
+    """Every solution u of matrix u = rhs over F_q, one per row: the kernel
+    vectors (u, 1) of (matrix | -rhs).  In its reduced row echelon form R,
+    free column f gives 1 at f and -R[:, f] at the pivots; a pivot in the
+    last column means 0 = 1 and no rows.  The last column's vector is the
+    particular solution, listed first, plus every combination of the rest."""
+    R = np.column_stack([matrix, np.negative(rhs)]).astype(np.int64) % q
+    cols = R.shape[1]
+    pivots: list[int] = []
+    for c in range(cols):
+        r = len(pivots)
+        nonzero = np.flatnonzero(R[r:, c])
+        if not nonzero.size:
+            continue
+        R[[r, r + nonzero[0]]] = R[[r + nonzero[0], r]]
+        R[r] = R[r] * pow(int(R[r, c]), -1, q) % q
+        factors = R[:, c].copy()
+        factors[r] = 0
+        R = (R - np.outer(factors, R[r])) % q
+        pivots.append(c)
+    if cols - 1 in pivots:
+        return np.zeros((0, cols - 1), dtype=np.int64)
+    free = [c for c in range(cols) if c not in pivots]
+    kernel = np.zeros((len(free), cols), dtype=np.int64)
+    kernel[np.arange(len(free)), free] = 1
+    kernel[:, pivots] = -R[: len(pivots), free].T % q
+    particular, basis = kernel[-1, :-1], kernel[:-1, :-1]
     digits = np.array(list(itertools.product(range(q), repeat=len(basis))), dtype=np.int64)
-    kernel = np.array(basis, dtype=np.int64).reshape(len(basis), len(particular))
-    return (particular + digits @ kernel) % q
+    return (particular + digits @ basis) % q
 
 
 def self_dual_lifts(base: CodeSpec, ring: ChainRing, alpha: int):

@@ -230,18 +230,23 @@ def _write_checkpoint(cfg: SearchConfig, result: SearchResult) -> None:
 
 
 def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
-    """The state saved for this search, or a fresh one when there is none."""
+    """The state saved for this search, or a fresh one when there is none,
+    it is malformed or it belongs to another search."""
     if cfg.checkpoint is None:
         return SearchResult()
     try:
         with open(cfg.checkpoint, encoding="utf-8") as fh:
             state = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        if state["fingerprint"] != cfg.fingerprint():
+            return SearchResult()
+        return SearchResult(
+            best_d_lee=int(state["best_d_lee"]),
+            all_records=[SearchRecord.from_line(line) for line in state["all_records"]],
+            bases_examined=int(state["bases_examined"]),
+            lifts_examined=int(state["lifts_examined"]),
+        )
+    except (OSError, KeyError, TypeError, ValueError, AttributeError):  # JSONDecodeError too
         return SearchResult()
-    if state.pop("fingerprint", None) != cfg.fingerprint():
-        return SearchResult()
-    records = [SearchRecord.from_line(line) for line in state.pop("all_records", [])]
-    return SearchResult(**state, all_records=records)
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:

@@ -14,7 +14,6 @@ from alphacirc import (
     nested_lift,
     self_dual_lifts,
 )
-from alphacirc.gfsolve import rref, solve_affine
 from alphacirc.lifting import build_lift_system, section_lift_spec, solve_lift_system
 
 Z2 = ChainRing(2, 1)
@@ -28,26 +27,28 @@ def lift_system(base, ring, alpha):
     return build_lift_system(section_lift_spec(base, ring, alpha))
 
 
-class TestGfSolve:
-    def test_rref_pivots(self):
-        R, pivots = rref(np.array([[1, 1, 0], [1, 1, 1]]), 2)
-        assert pivots == [0, 2]
-        assert R.tolist() == [[1, 1, 0], [0, 0, 1]]
+class TestSolveLiftSystem:
+    def test_pivot_free_layout(self):
+        # pivots at columns 0 and 2, column 1 free: the particular solution
+        # has 0 at the free column, the basis vector 1 there and -1 at pivot 0
+        sols = solve_lift_system(np.array([[1, 1, 0], [1, 1, 1]]), np.array([1, 2]), 3)
+        assert sols.tolist() == [[1, 0, 1], [0, 1, 1], [2, 2, 1]]
 
     def test_solve_unique(self):
-        sol = solve_affine(np.array([[1, 0], [0, 1]]), np.array([1, 2]), 3)
-        assert sol is not None
-        particular, basis = sol
-        assert particular.tolist() == [1, 2] and basis == []
+        sols = solve_lift_system(np.array([[1, 0], [0, 1]]), np.array([1, 2]), 3)
+        assert sols.tolist() == [[1, 2]]
 
     def test_solve_inconsistent(self):
-        assert solve_affine(np.array([[1, 1], [1, 1]]), np.array([0, 1]), 2) is None
+        sols = solve_lift_system(np.array([[1, 1], [1, 1]]), np.array([0, 1]), 2)
+        assert sols.shape == (0, 2)
 
     def test_zero_system_full_kernel(self):
-        sol = solve_affine(np.zeros((2, 3)), np.zeros(2), 2)
-        particular, basis = sol
-        assert particular.tolist() == [0, 0, 0]
-        assert len(basis) == 3
+        sols = solve_lift_system(np.zeros((2, 3), dtype=np.int64), np.zeros(2, dtype=np.int64), 2)
+        assert sols.tolist() == [list(x) for x in itertools.product(range(2), repeat=3)]
+
+    def test_no_rows(self):
+        sols = solve_lift_system(np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64), 3)
+        assert sols.tolist() == [list(x) for x in itertools.product(range(3), repeat=2)]
 
     def test_random_solutions_satisfy_system(self):
         rng = random.Random(0)
@@ -56,23 +57,16 @@ class TestGfSolve:
             rows, cols = rng.randrange(1, 5), rng.randrange(1, 5)
             A = np.array([[rng.randrange(q) for _ in range(cols)] for _ in range(rows)])
             b = np.array([rng.randrange(q) for _ in range(rows)])
-            sol = solve_affine(A, b, q)
+            sols = solve_lift_system(A, b, q)
             expected = {
                 x
                 for x in itertools.product(range(q), repeat=cols)
                 if not (A @ np.array(x) % q - b % q).any()
             }
-            if sol is None:
-                assert not expected
-                continue
-            particular, basis = sol
-            got = set()
-            for digits in itertools.product(range(q), repeat=len(basis)):
-                v = particular.copy()
-                for d, vec in zip(digits, basis):
-                    v = (v + d * vec) % q
-                got.add(tuple(int(x) for x in v))
-            assert got == expected
+            got = [tuple(int(x) for x in row) for row in sols]
+            assert sols.shape == (len(got), cols)
+            assert len(set(got)) == len(got)
+            assert set(got) == expected
 
 
 class TestLiftSystem:

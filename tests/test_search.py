@@ -239,6 +239,27 @@ class TestRunSearch:
             assert json.loads(ck.read_text())["fingerprint"] == cfg(n=16).fingerprint()
 
     @pytest.mark.parametrize(
+        "state",
+        [
+            None,
+            [],
+            {"unknown": 1},
+            {"bases_examined": "x", "lifts_examined": 10_000},
+            {"all_records": ["double-nega z4 8 base=0,1"], "lifts_examined": 10_000},
+        ],
+        ids=["null", "list", "unknown-key", "bad-count", "bad-record"],
+    )
+    def test_malformed_checkpoint_starts_over(self, state, tmp_path):
+        # a checkpoint of this search that does not hold SearchResult's four
+        # fields is ignored like one that does not parse
+        config = cfg(checkpoint=str(tmp_path / "state.json"))
+        if isinstance(state, dict):
+            fresh_state = {"best_d_lee": 0, "all_records": [], "bases_examined": 0, "lifts_examined": 0}
+            state = {"fingerprint": config.fingerprint(), **fresh_state, **state}
+        (tmp_path / "state.json").write_text(json.dumps(state))
+        assert run_search(config) == run_search(cfg())
+
+    @pytest.mark.parametrize(
         "ring, n, family",
         [
             ("z4", 8, "double-nega"),
@@ -274,6 +295,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("z9", 12, "double-nega"),
         ("z2", 8, "bordered-circ"),
         ("z9", 6, "double-circ"),
+        # 256 lifts from an 8-dimensional F_2 kernel; a bordered lift over F_3
+        ("z4", 24, "bordered-circ"),
+        ("z9", 12, "bordered-circ"),
     ],
 )
 def test_golden_results_file(ring, n, family, tmp_path):
