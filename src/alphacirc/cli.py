@@ -13,6 +13,7 @@ checkpoint written when a checkpoint path was given).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .chainring import ChainRing
@@ -29,6 +30,7 @@ from .search import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="alphacirc",
@@ -45,21 +47,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="results file (line-delimited records)")
     p.add_argument("--checkpoint", help="checkpoint file for resume")
     p.add_argument("--no-prune", action="store_true",
-                   help="disable the 2*d_Ham cutoff and early aborts (for auditing)")
+                   help="disable the p^(m-1)*floor(p/2)*d_Ham cutoff and early aborts "
+                        "(for auditing)")
+    p.set_defaults(run=_cmd_search)
 
     p = sub.add_parser("verify", help="re-check a results file")
     p.add_argument("--in", dest="infile", required=True)
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("distance", help="evaluate one code spec")
     p.add_argument("--ring", required=True)
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--vector", required=True, help="comma-separated digits, index 0 first")
     p.add_argument("--border", help="beta,gamma,delta for bordered specs")
+    p.set_defaults(run=_cmd_distance)
 
     p = sub.add_parser("canon", help="canonical form of a generating vector")
     p.add_argument("--ring", required=True)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--vector", required=True)
+    p.set_defaults(run=_cmd_canon)
 
     return parser
 
@@ -113,18 +120,10 @@ def _cmd_canon(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "search": _cmd_search,
-    "verify": _cmd_verify,
-    "distance": _cmd_distance,
-    "canon": _cmd_canon,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -138,6 +138,8 @@ def canonical_form_bordered(spec: CodeSpec) -> CodeSpec:
     """The canonical bordered spec: the least core + border over the orbit
     under core shifts, substitution maps whose diagonal part is scalar, and
     simultaneous negation of core and border."""
+    if spec.border is None:
+        raise ValueError("a double spec takes canonical_form")
     c = len(spec.a)
     gather, mult, border_mult = _group(spec.ring, c, spec.alpha, True)
     images = np.hstack([mult * np.array(spec.a)[gather], np.outer(border_mult, spec.border)])

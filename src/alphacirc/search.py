@@ -3,9 +3,11 @@
 Pipeline per length n = 2k: enumerate self-dual (and, for Z4 targets,
 doubly-even) base codes over the residue field, deduplicate by orbit
 canonical form, sort by exact base Hamming distance descending, then lift
-each base through the chain ring and evaluate minimum Lee distances.  The
-running best d prunes whole bases via d_Lee <= 2 d_Ham(base) and aborts
-lift evaluations early once they cannot reach d.
+each base through the chain ring and evaluate minimum Lee distances.  A lift
+over Z_{p^m} contains theta^{m-1} c for every base codeword c, so its d_Lee is
+at most p^{m-1} floor(p/2) d_Ham(base) (factor 2 over Z4, 4 over Z8, 3 over Z9,
+1 over F2 and F3).  The running best d prunes the bases whose lifts can at most
+tie it and aborts lift evaluations early once they cannot reach d.
 """
 
 from __future__ import annotations
@@ -250,11 +252,12 @@ def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
-    """The main loop: bases in descending d_Ham order, stop at 2 d_Ham <= d."""
+    """The main loop: bases in descending d_Ham order; stop once p^{m-1} floor(p/2) d_Ham <= d."""
+    lee_factor = cfg.ring.p ** (cfg.ring.m - 1) * (cfg.ring.p // 2)
     bases = _sorted_bases(cfg)
     result = _read_checkpoint(cfg)
     for base, d_ham in bases[result.bases_examined:]:
-        if cfg.prune and 2 * d_ham <= result.best_d_lee:
+        if cfg.prune and lee_factor * d_ham <= result.best_d_lee:
             break
         for lift in nested_lift(base, cfg.ring, cfg.alpha):
             result.lifts_examined += 1

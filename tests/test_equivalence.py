@@ -205,6 +205,11 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             canonical_form(CodeSpec(Z2, 1, (1, 1, 0), (0, 1, 1)))
 
+    def test_bordered_form_rejects_double(self):
+        # the bordered group would multiply a missing border
+        with pytest.raises(ValueError, match="canonical_form"):
+            canonical_form_bordered(CodeSpec(Z2, 1, (1, 1, 0)))
+
     def test_bordered_restricted_group(self):
         core, border = (1, 1, 0), (0, 1, 1)
         canon = canonical_form_bordered(CodeSpec(Z2, 1, core, border))

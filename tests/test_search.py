@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+import alphacirc.cli
 import alphacirc.search
 import helpers
 from alphacirc import (
@@ -12,6 +13,7 @@ from alphacirc import (
     ConfigurationError,
     SearchConfig,
     SearchRecord,
+    SearchResult,
     canonical_form,
     enumerate_base_codes,
     is_doubly_even,
@@ -208,6 +210,21 @@ class TestRunSearch:
         assert resumed.lifts_examined == fresh.lifts_examined
         assert json.loads(ck.read_text())["lifts_examined"] == fresh.lifts_examined
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+
+    @pytest.mark.parametrize("ring, best", [("z9", 9), ("z8", 12)])
+    def test_base_cutoff_holds_over_every_ring(self, ring, best, tmp_path):
+        # a running best of 8 must not cut the bases with d_Ham = 4: over
+        # Z9 and Z8 their lifts can reach 3 d_Ham and 4 d_Ham, not just 2 d_Ham
+        config = cfg(ring=ChainRing.from_name(ring), n=16, checkpoint=str(tmp_path / "state.json"))
+        alphacirc.search._write_checkpoint(config, SearchResult(best_d_lee=8, bases_examined=1))
+        assert run_search(config).best_d_lee == best
+
+    @pytest.mark.parametrize("ring, n", [("z8", 16), ("z9", 16), ("z9", 20)])
+    @pytest.mark.parametrize("family", ["double-nega", "bordered-circ"])
+    def test_prune_matches_unpruned_over_other_rings(self, ring, n, family):
+        config = dict(ring=ChainRing.from_name(ring), n=n, family=family)
+        pruned, unpruned = run_search(cfg(**config)), run_search(cfg(**config, prune=False))
+        assert pruned.best_d_lee == unpruned.best_d_lee
 
     def test_checkpoint_fingerprint_mismatch_ignored(self, tmp_path):
         ck = tmp_path / "state.json"
@@ -448,3 +465,17 @@ class TestCli:
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["verify", "--in", "/nonexistent/records.txt"]) == 2
+
+    def test_parser_built_once(self):
+        assert alphacirc.cli._build_parser() is alphacirc.cli._build_parser()
+
+    def test_parser_reused_after_parse_error(self, tmp_path, capsys):
+        # a failed parse leaves nothing behind in the one cached parser
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--ring", "z4", "--length", "8", "--family", "triple-circ"])
+        assert exc.value.code == 2
+        out = tmp_path / "rec.txt"
+        argv = ["search", "--ring", "z4", "--length", "8", "--family", "double-nega"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "best_d_lee=6" in capsys.readouterr().out
+        assert main(["verify", "--in", str(out)]) == 0
