@@ -2,7 +2,7 @@
 
 Subcommands:
   search    run a best-minimum-Lee-distance search for one length/family
-  verify    re-check every record line of a results file
+  verify    re-check every record line of a results file or checkpoint
   distance  evaluate one code spec
   canon     canonical form of a generating vector
 
@@ -23,8 +23,9 @@ from .equivalence import canonical_form
 from .search import (
     FAMILIES,
     SearchConfig,
+    SearchRecord,
     family_spec,
-    read_records,
+    record_lines,
     run_search,
     verify_record,
 )
@@ -91,13 +92,17 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records = read_records(args.infile)
+    lines = record_lines(args.infile)
     bad = 0
-    for i, rec in enumerate(records):
-        if not verify_record(rec):
+    for i, line in enumerate(lines):
+        try:
+            ok = verify_record(SearchRecord.from_line(line))
+        except ValueError:  # a malformed line fails like a false claim
+            ok = False
+        if not ok:
             bad += 1
-            print(f"FAIL line {i + 1}: {rec.to_line()}", file=sys.stderr)
-    print(f"checked {len(records)} records, {bad} failures")
+            print(f"FAIL line {i + 1}: {line}", file=sys.stderr)
+    print(f"checked {len(lines)} records, {bad} failures")
     return 0 if bad == 0 else 2
 
 

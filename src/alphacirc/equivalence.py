@@ -147,20 +147,21 @@ def canonical_form_bordered(spec: CodeSpec) -> CodeSpec:
     return CodeSpec(spec.ring, spec.alpha, tuple(best[:c]), tuple(best[c:]))
 
 
-def necklaces(k: int, q: int) -> Iterator[tuple[int, ...]]:
-    """The least rotation of every length-k word over {0..q-1}, in lex order.
+def necklaces(k: int, q: int, prefixes: bool = False) -> Iterator[tuple[int, ...]]:
+    """The least rotation of every length-k word over {0..q-1}, in lex order;
+    with `prefixes`, every prenecklace (length-k prefix of a necklace).
 
     Duval's iteration visits the Lyndon words of length at most k in lex
-    order; each one whose length divides k, repeated to length k, is a
-    necklace.
+    order; each one repeated and cut to length k is a prenecklace, and a
+    necklace when its length divides k.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     w = [0]
     while w:
-        if k % len(w) == 0:
-            yield tuple(w * (k // len(w)))
-        w = (w * (k // len(w) + 1))[:k]
+        period, w = len(w), (w * (k // len(w) + 1))[:k]
+        if prefixes or k % period == 0:
+            yield tuple(w)
         while w and w[-1] == q - 1:
             w.pop()
         if w:

@@ -13,19 +13,20 @@ tie it and aborts lift evaluations early once they cannot reach d.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .chainring import ChainRing
 from .circulant import CodeSpec, format_vector, is_self_dual, parse_vector, self_dual_mask
-from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
+from .distance import _orbit_leaders, is_doubly_even, min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form, canonical_form_bordered, necklaces
 from .lifting import nested_lift
 
 FAMILIES = ("double-nega", "double-circ", "bordered-circ")
 
-# Necklaces per sieve block: the block arrays stay around a megabyte at k = 32.
+# Candidates per sieve block: the block arrays stay around a megabyte at k = 32.
 _BLOCK = 4096
 
 
@@ -95,11 +96,10 @@ class SearchConfig:
         return ChainRing(self.ring.p, 1)
 
     def fingerprint(self) -> str:
-        """Identifies the search a checkpoint belongs to.  The trailing format
-        tag says the checkpoint holds `SearchResult`'s fields, with counts and
-        witnesses per lift orbit; a checkpoint with another tag (per-lift
-        counts, or the older key names) is not resumed."""
-        return f"{self.family}:{self.ring.name}:{self.n}:{int(self.prune)}:result-fields"
+        """The search a results file belongs to: the first fields of its
+        summary line.  A checkpoint that does not start its summary with
+        them is not resumed."""
+        return f"family={self.family} ring={self.ring.name} n={self.n} prune={int(self.prune)}"
 
 
 @dataclass
@@ -153,8 +153,8 @@ class SearchRecord:
 
 @dataclass
 class SearchResult:
-    """The state of a search: `run_search` updates it in place, checkpoints
-    it after each base and returns it."""
+    """The state of a search: `run_search` updates it in place, writes it as
+    a results file to the checkpoint after each base and returns it."""
 
     best_d_lee: int = 0
     all_records: list[SearchRecord] = field(default_factory=list)
@@ -173,19 +173,22 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
     Candidates are the necklaces (least rotations) of the circulant part,
     crossed with every border for bordered families, which always have
     alpha = 1.  With alpha = 1 rotation is in the group, so every orbit
-    contains a candidate.  For double-nega over F_3 rotation is not in the
-    group; there the walk is checked against every self-dual vector at small
-    n, not proven complete.
+    contains a candidate.  For double-nega over odd p, alpha = -1 and the
+    candidates are the prenecklaces that are least in their orbit under the
+    alpha-shift and -1 (`_orbit_leaders`): the alpha-shifts of w are the
+    length-k windows of the rotations of (w | alpha w), so the least word of
+    each such orbit starts the necklace of (w | alpha w), and every orbit of
+    the group, which holds both maps, contains a candidate.
 
-    The necklaces are sieved in blocks of `_BLOCK` by `self_dual_mask`: the
+    The candidates are sieved in blocks of `_BLOCK` by `self_dual_mask`: the
     Gram matrix of the alpha-circulant part is alpha-circulant, so the row-0
     autocorrelations c_j decide self-duality (c_0 = -1, c_j = 0 for doubles),
     and a bordered core with border (beta, gamma, delta) must also satisfy
     1 + beta^2 + (k-1) gamma^2 = 0 and beta delta + gamma sum(core) = 0, with
     c_0 = -1 - delta^2 and c_j = -delta^2.  Only the survivors become specs;
     Z4 targets additionally require the doubly-even property of the base.
-    They are deduplicated by canonical form in candidate order (necklace,
-    then border, both lexicographic).
+    They are deduplicated by canonical form in candidate order (word, then
+    border, both lexicographic).
     """
     ring = cfg.base_ring()
     alpha = cfg.alpha % ring.p
@@ -194,9 +197,13 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
         words = necklaces(cfg.k - 1, ring.p)
         borders = list(itertools.product(range(ring.p), repeat=3))
     else:
-        words, borders = necklaces(cfg.k, ring.p), None
+        words, borders = necklaces(cfg.k, ring.p, prefixes=alpha != 1), None
     reps: dict[CodeSpec, None] = {}  # an insertion-ordered set
     while block := list(itertools.islice(words, _BLOCK)):
+        if alpha != 1:
+            leaders = _orbit_leaders(np.array(block, np.uint8), ring.p, (0, alpha))
+            if not (block := list(map(tuple, leaders.tolist()))):
+                continue
         mask = self_dual_mask(ring, alpha, block, borders).reshape(len(block), -1)
         for i, b in zip(*mask.nonzero()):
             spec = CodeSpec(ring, alpha, block[i], None if borders is None else borders[b])
@@ -212,25 +219,6 @@ def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
     return bases
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write through a temporary file, so a crash mid-write leaves the
-    previous file; the caller serializes before anything is opened."""
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)
-
-
-def _write_checkpoint(cfg: SearchConfig, result: SearchResult) -> None:
-    if cfg.checkpoint is None:
-        return
-    saved = {
-        **vars(result),
-        "fingerprint": cfg.fingerprint(),
-        "all_records": [r.to_line() for r in result.all_records],
-    }
-    _write_atomic(cfg.checkpoint, json.dumps(saved))
-
-
 def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
     """The state saved for this search, or a fresh one when there is none,
     it is malformed or it belongs to another search."""
@@ -238,16 +226,18 @@ def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
         return SearchResult()
     try:
         with open(cfg.checkpoint, encoding="utf-8") as fh:
-            state = json.load(fh)
-        if state["fingerprint"] != cfg.fingerprint():
+            *lines, summary = fh.read().splitlines()
+        prefix = f"# {cfg.fingerprint()} "
+        if not summary.startswith(prefix):
             return SearchResult()
+        counts = dict(f.split("=", 1) for f in summary[len(prefix):].split())
         return SearchResult(
-            best_d_lee=int(state["best_d_lee"]),
-            all_records=[SearchRecord.from_line(line) for line in state["all_records"]],
-            bases_examined=int(state["bases_examined"]),
-            lifts_examined=int(state["lifts_examined"]),
+            best_d_lee=int(counts["best_d_lee"]),
+            all_records=[SearchRecord.from_line(line) for line in lines],
+            bases_examined=int(counts["bases_examined"]),
+            lifts_examined=int(counts["lifts_examined"]),
         )
-    except (OSError, KeyError, TypeError, ValueError, AttributeError):  # JSONDecodeError too
+    except (OSError, KeyError, ValueError):
         return SearchResult()
 
 
@@ -279,29 +269,32 @@ def run_search(cfg: SearchConfig) -> SearchResult:
                     )
                 )
         result.bases_examined += 1
-        _write_checkpoint(cfg, result)
+        if cfg.checkpoint is not None:
+            write_records(cfg.checkpoint, cfg, result)
 
     if cfg.out is not None:
-        write_records(cfg, result)
+        write_records(cfg.out, cfg, result)
     return result
 
 
-def write_records(cfg: SearchConfig, result: SearchResult) -> None:
+def write_records(path: str, cfg: SearchConfig, result: SearchResult) -> None:
+    """Write the results file: one line per record, then the summary line
+    `# <fingerprint> best_d_lee=.. witnesses=.. bases_examined=.. lifts_examined=..`.
+    The lines are built before anything is opened and replace the file through
+    a temporary one, so a failure mid-write leaves the previous file."""
     lines = [rec.to_line() + "\n" for rec in result.all_records]
-    lines.append(f"# family={cfg.family} ring={cfg.ring.name} n={cfg.n}"
-                 f" best_d_lee={result.best_d_lee} witnesses={len(result.records)}\n")
-    _write_atomic(cfg.out, "".join(lines))
+    lines.append(f"# {cfg.fingerprint()} best_d_lee={result.best_d_lee}"
+                 f" witnesses={len(result.records)} bases_examined={result.bases_examined}"
+                 f" lifts_examined={result.lifts_examined}\n")
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        fh.write("".join(lines))
+    os.replace(path + ".tmp", path)
 
 
-def read_records(path: str) -> list[SearchRecord]:
-    records = []
+def record_lines(path: str) -> list[str]:
+    """The record lines of a results file: every line but blank and `#` ones."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            records.append(SearchRecord.from_line(line))
-    return records
+        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
 
 def verify_record(rec: SearchRecord) -> bool:

@@ -240,13 +240,18 @@ def self_dual_bordered_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
 
 def enumerate_base_codes_oracle(cfg: SearchConfig) -> list[CodeSpec]:
     """`enumerate_base_codes` one candidate at a time: a spec and a dense
-    Gram matrix (`is_self_dual`) for every necklace crossed with every border."""
+    Gram matrix (`is_self_dual`) for every necklace crossed with every border,
+    or for every word when alpha != 1 and rotation is not in the group.  The
+    first candidate of each orbit in lexicographic order is its least word,
+    so the representatives come in the order of the fast walk."""
     ring = cfg.base_ring()
     alpha = cfg.alpha % ring.p
     need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2
     if cfg.bordered:
         borders = itertools.product(range(ring.p), repeat=3)
         candidates = itertools.product(necklaces(cfg.k - 1, ring.p), borders)
+    elif alpha != 1:
+        candidates = itertools.product(itertools.product(range(ring.p), repeat=cfg.k), [None])
     else:
         candidates = itertools.product(necklaces(cfg.k, ring.p), [None])
     reps: dict[CodeSpec, None] = {}  # an insertion-ordered set

@@ -327,6 +327,12 @@ class TestNecklaces:
             for w in necklaces(k, q):
                 assert all(w <= w[i:] + w[:i] for i in range(1, k))
 
+    def test_prenecklaces_are_prefixes_of_necklaces(self):
+        for k in range(1, 7):
+            for q in (2, 3):
+                words = list(necklaces(k, q, prefixes=True))
+                assert words == sorted({w[:k] for w in necklaces(2 * k, q)})
+
     def test_every_rotation_class_once_in_lex_order(self):
         for k in range(1, 7):
             for q in (2, 3):

@@ -23,7 +23,7 @@ from alphacirc import (
     verify_record,
 )
 from alphacirc.cli import main
-from alphacirc.search import read_records, write_records
+from alphacirc.search import record_lines, write_records
 
 Z4 = ChainRing(2, 2)
 
@@ -107,6 +107,13 @@ class TestBaseEnumeration:
                 expected.add(min(helpers.bordered_orbit(spec), key=lambda st: st[0] + st[1]))
         assert reps == expected
 
+    def test_double_nega_over_f3_finds_every_class(self):
+        # no necklace lies in the class of this vector (d_Ham 6): a necklace
+        # walk found the other 16 classes only
+        reps = enumerate_base_codes(cfg(ring=ChainRing.from_name("z9"), n=28))
+        a = (1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 1, 1)
+        assert len(reps) == 17 and canonical_form(CodeSpec(ChainRing(3, 1), 2, a)) in reps
+
     def test_bordered_reps_dedup(self):
         reps = enumerate_base_codes(cfg(family="bordered-circ"))
         pairs = {(s.a, s.border) for s in reps}
@@ -163,9 +170,12 @@ class TestRunSearch:
         out = tmp_path / "records.txt"
         result = run_search(cfg(out=str(out)))
         lines = out.read_text().strip().splitlines()
-        assert lines[-1].startswith("#") and "best_d_lee=6" in lines[-1]
-        records = read_records(str(out))
-        assert len(records) == len(result.all_records)
+        assert lines[-1] == (
+            f"# family=double-nega ring=z4 n=8 prune=1 best_d_lee=6 witnesses={len(result.records)}"
+            f" bases_examined={result.bases_examined} lifts_examined={result.lifts_examined}"
+        )
+        records = [SearchRecord.from_line(line) for line in record_lines(str(out))]
+        assert records == result.all_records
 
     def test_results_file_survives_failed_write(self, tmp_path, monkeypatch):
         out = tmp_path / "records.txt"
@@ -183,40 +193,42 @@ class TestRunSearch:
 
         monkeypatch.setattr(SearchRecord, "to_line", fail_on_second_record)
         with pytest.raises(RuntimeError):
-            write_records(config, result)
+            write_records(config.out, config, result)
         assert out.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["records.txt"]
 
-    def test_checkpoint_resume(self, tmp_path, monkeypatch):
-        ck = tmp_path / "state.json"
-        config = cfg(n=16, checkpoint=str(ck), prune=False)
-        write_checkpoint = alphacirc.search._write_checkpoint
-
+    def test_checkpoint_resume(self, tmp_path, monkeypatch, capsys):
+        # the checkpoint is a results file: verify checks the one an
+        # interrupted search left, and the resumed search ends with the
+        # results file of a search that ran through
         def interrupt_after_first_base(*args):
-            write_checkpoint(*args)
+            write_records(*args)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(alphacirc.search, "_write_checkpoint", interrupt_after_first_base)
-        with pytest.raises(KeyboardInterrupt):
-            run_search(config)
-        monkeypatch.undo()
-        state = json.loads(ck.read_text())
-        assert state["bases_examined"] == 1
-        resumed = run_search(config)
-        assert resumed.best_d_lee == 8
-        fresh = run_search(cfg(n=16, prune=False))
-        key = lambda r: (r.base, r.lift, r.border or ())
-        assert sorted(map(key, resumed.records)) == sorted(map(key, fresh.records))
-        assert resumed.lifts_examined == fresh.lifts_examined
-        assert json.loads(ck.read_text())["lifts_examined"] == fresh.lifts_examined
-        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
+        for family in ("double-nega", "bordered-circ"):
+            ck, out = tmp_path / f"{family}.state", tmp_path / f"{family}.txt"
+            config = cfg(n=16, family=family, checkpoint=str(ck), prune=False)
+            monkeypatch.setattr(alphacirc.search, "write_records", interrupt_after_first_base)
+            with pytest.raises(KeyboardInterrupt):
+                run_search(config)
+            monkeypatch.undo()
+            *records, summary = ck.read_text().splitlines()
+            assert " bases_examined=1 " in summary and records
+            capsys.readouterr()
+            assert main(["verify", "--in", str(ck)]) == 0
+            assert capsys.readouterr().out == f"checked {len(records)} records, 0 failures\n"
+            resumed = run_search(config)
+            fresh = run_search(cfg(n=16, family=family, prune=False, out=str(out)))
+            assert resumed == fresh and resumed.best_d_lee == 8
+            assert ck.read_bytes() == out.read_bytes()
+        assert len(list(tmp_path.iterdir())) == 4  # no temporary file is left
 
     @pytest.mark.parametrize("ring, best", [("z9", 9), ("z8", 12)])
     def test_base_cutoff_holds_over_every_ring(self, ring, best, tmp_path):
         # a running best of 8 must not cut the bases with d_Ham = 4: over
         # Z9 and Z8 their lifts can reach 3 d_Ham and 4 d_Ham, not just 2 d_Ham
-        config = cfg(ring=ChainRing.from_name(ring), n=16, checkpoint=str(tmp_path / "state.json"))
-        alphacirc.search._write_checkpoint(config, SearchResult(best_d_lee=8, bases_examined=1))
+        config = cfg(ring=ChainRing.from_name(ring), n=16, checkpoint=str(tmp_path / "state.txt"))
+        write_records(config.checkpoint, config, SearchResult(best_d_lee=8, bases_examined=1))
         assert run_search(config).best_d_lee == best
 
     @pytest.mark.parametrize("ring, n", [("z8", 16), ("z9", 16), ("z9", 20)])
@@ -227,53 +239,56 @@ class TestRunSearch:
         assert pruned.best_d_lee == unpruned.best_d_lee
 
     def test_checkpoint_fingerprint_mismatch_ignored(self, tmp_path):
-        ck = tmp_path / "state.json"
-        ck.write_text(json.dumps({"fingerprint": "other", "bases_examined": 99}))
-        result = run_search(cfg(checkpoint=str(ck)))
-        assert result.best_d_lee == 6
+        # the summary line of another search: other family, ring, length or
+        # pruning; each would resume with 10,000 lifts if it were read
+        ck = tmp_path / "state.txt"
+        counts = "best_d_lee=6 witnesses=0 bases_examined=99 lifts_examined=10000"
+        for other in (cfg(family="double-circ"), cfg(ring=ChainRing(2, 3)), cfg(n=16),
+                      cfg(prune=False)):
+            ck.write_text(f"# {other.fingerprint()} {counts}\n")
+            assert run_search(cfg(checkpoint=str(ck))) == run_search(cfg())
 
     def test_checkpoint_from_per_lift_format_ignored(self, tmp_path):
-        # a checkpoint written when every lift was evaluated holds per-lift
-        # counts and witnesses, and one written before the checkpoint took
-        # SearchResult's field names has other keys; the search starts over
-        # instead of resuming either
-        ck = tmp_path / "state.json"
-        fresh = run_search(cfg(n=16))
-        key = lambda r: (r.base, r.lift, r.border or ())
-        for tag in ("", ":orbit-lifts"):
+        # the JSON checkpoints of earlier versions: per-lift counts, older key
+        # names, and SearchResult's fields; the search starts over instead of
+        # resuming any of them and replaces the file with its results file
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        fresh = run_search(cfg(n=16, out=str(out)))
+        for tag in ("", ":orbit-lifts", ":result-fields"):
             old = {
                 "fingerprint": "double-nega:z4:16:1" + tag,
                 "bases_done": 1,
+                "bases_examined": 1,
                 "best_d_lee": 8,
                 "lifts_examined": 10_000,
                 "records": ["double-nega z4 16 base=0 lift=0 border=- d_lee=8 d_ham_base=4"],
+                "all_records": [],
             }
             ck.write_text(json.dumps(old))
-            resumed = run_search(cfg(n=16, checkpoint=str(ck)))
-            assert resumed.lifts_examined == fresh.lifts_examined
-            assert resumed.bases_examined == fresh.bases_examined
-            assert list(map(key, resumed.all_records)) == list(map(key, fresh.all_records))
-            assert json.loads(ck.read_text())["fingerprint"] == cfg(n=16).fingerprint()
+            assert run_search(cfg(n=16, checkpoint=str(ck))) == fresh
+            assert ck.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize(
-        "state",
+        "text",
         [
-            None,
-            [],
-            {"unknown": 1},
-            {"bases_examined": "x", "lifts_examined": 10_000},
-            {"all_records": ["double-nega z4 8 base=0,1"], "lifts_examined": 10_000},
+            "null",
+            "[]",
+            "",
+            "# {fp} unknown=1\n",
+            "# {fp} best_d_lee=0 witnesses=0 lifts_examined=10000\n",
+            "# {fp} best_d_lee=0 witnesses=0 bases_examined=x lifts_examined=10000\n",
+            "# {fp} best_d_lee=0 witnesses=0 bases_examined=0 lifts_examined=10000 x\n",
+            "double-nega z4 8 base=0,1\n"
+            "# {fp} best_d_lee=0 witnesses=0 bases_examined=0 lifts_examined=10000\n",
         ],
-        ids=["null", "list", "unknown-key", "bad-count", "bad-record"],
+        ids=["null", "list", "empty", "unknown-key", "missing-count", "bad-count", "bad-field",
+             "bad-record"],
     )
-    def test_malformed_checkpoint_starts_over(self, state, tmp_path):
-        # a checkpoint of this search that does not hold SearchResult's four
-        # fields is ignored like one that does not parse
-        config = cfg(checkpoint=str(tmp_path / "state.json"))
-        if isinstance(state, dict):
-            fresh_state = {"best_d_lee": 0, "all_records": [], "bases_examined": 0, "lifts_examined": 0}
-            state = {"fingerprint": config.fingerprint(), **fresh_state, **state}
-        (tmp_path / "state.json").write_text(json.dumps(state))
+    def test_malformed_checkpoint_starts_over(self, text, tmp_path):
+        # a checkpoint of this search whose summary does not hold the counters,
+        # or whose records do not parse, is ignored like one of another search
+        config = cfg(checkpoint=str(tmp_path / "state.txt"))
+        (tmp_path / "state.txt").write_text(text.replace("{fp}", config.fingerprint()))
         assert run_search(config) == run_search(cfg())
 
     @pytest.mark.parametrize(
@@ -379,6 +394,19 @@ class TestCli:
             "double-nega z4 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=99 d_ham_base=4\n"
         )
         assert main(["verify", "--in", str(bad)]) == 2
+
+    def test_verify_fails_malformed_line_only(self, tmp_path, capsys):
+        records = tmp_path / "records.txt"
+        records.write_text(
+            "garbage line\n"
+            "double-nega z4 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4\n"
+            "double-nega z4 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=6\n"
+        )
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL line 1" in captured.err and "FAIL line 3" in captured.err
+        assert "FAIL line 2" not in captured.err
+        assert captured.out == "checked 3 records, 2 failures\n"
 
     def test_verify_short_border_fails_its_line_only(self, tmp_path, capsys):
         records = tmp_path / "records.txt"
