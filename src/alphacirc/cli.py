@@ -94,14 +94,14 @@ def _cmd_search(args) -> int:
 def _cmd_verify(args) -> int:
     lines = record_lines(args.infile)
     bad = 0
-    for i, line in enumerate(lines):
+    for number, line in lines:
         try:
             ok = verify_record(SearchRecord.from_line(line))
         except ValueError:  # a malformed line fails like a false claim
             ok = False
         if not ok:
             bad += 1
-            print(f"FAIL line {i + 1}: {line}", file=sys.stderr)
+            print(f"FAIL line {number}: {line}", file=sys.stderr)
     print(f"checked {len(lines)} records, {bad} failures")
     return 0 if bad == 0 else 2
 

@@ -36,8 +36,8 @@ import numpy as np
 from .chainring import ChainRing
 from .circulant import CodeSpec, generator_matrix
 
-# message entries per evaluated block; bounds the work arrays (about 4 MB each)
-_BLOCK_ENTRIES = 2**19
+# message entries per evaluated block; bounds the work arrays (about 1 MB each)
+_BLOCK_ENTRIES = 2**17
 
 # A message group (fixed, wrap): the first `fixed` coordinates stay in place,
 # the others shift with multiplier `wrap` on the coordinate that wraps

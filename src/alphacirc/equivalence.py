@@ -9,8 +9,9 @@ on plain tuples by `shift_right` and `substitute`.  Every element of the
 group they generate sends a generating vector a to (mult_j * a_{gather_j})_j:
 `_group` reads the generators' gather indices and multipliers off their
 images of the unit vectors, closes the group once per (ring, k, alpha,
-bordered) and caches it.  With alpha = +-1 every multiplier is +-1, so each
-element preserves self-duality and Lee weight.  A canonical form is the
+bordered), extends it over a bordered spec's border and caches it.  With
+alpha = +-1 every multiplier is +-1, so each element preserves
+self-duality and Lee weight.  A canonical form is the
 `CodeSpec` whose vector (and border) is the lexicographic minimum over the
 images under all of the group's elements.
 """
@@ -90,11 +91,10 @@ def _compose(h: _Element, g: _Element, mod: int) -> _Element:
 
 
 @functools.cache
-def _group(
-    ring: ChainRing, k: int, alpha: int, bordered: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every group element as rows of gather indices, multipliers and border
-    multipliers (cached, read-only).
+def _group(ring: ChainRing, k: int, alpha: int, bordered: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Every group element as a row of gather indices and a row of
+    multipliers over a spec's coordinates, the k core entries and then the
+    border (beta, gamma, delta) of bordered groups (cached, read-only).
 
     alpha and the only scalar lambda are +-1, so every multiplier is +-1 and
     each element is a signed permutation of coordinates: it preserves
@@ -118,10 +118,20 @@ def _group(
     while frontier:
         frontier = {_compose(h, g, mod) for g in frontier for h in gens} - elements
         elements |= frontier
-    arrays = tuple(np.array(column) for column in zip(*elements))
-    for array in arrays:
+    gather, mult, border = (np.array(column) for column in zip(*elements))
+    if bordered:  # the border stays in place, scaled by the element's border multiplier
+        gather = np.hstack([gather, np.broadcast_to(np.arange(k, k + 3), (len(border), 3))])
+        mult = np.hstack([mult, np.repeat(border[:, None], 3, axis=1)])
+    for array in (gather, mult):
         array.flags.writeable = False
-    return arrays
+    return gather, mult
+
+
+def _least_image(spec: CodeSpec) -> list[int]:
+    """The lexicographically least image of the spec's coordinates (core,
+    then border) under the group."""
+    gather, mult = _group(spec.ring, len(spec.a), spec.alpha, spec.border is not None)
+    return min((mult * np.array(spec.a + (spec.border or ()))[gather] % spec.ring.size).tolist())
 
 
 def canonical_form(spec: CodeSpec) -> CodeSpec:
@@ -129,9 +139,7 @@ def canonical_form(spec: CodeSpec) -> CodeSpec:
     orbit of spec.a (index 0 most significant)."""
     if spec.border is not None:
         raise ValueError("a bordered spec takes canonical_form_bordered")
-    gather, mult, _ = _group(spec.ring, len(spec.a), spec.alpha, False)
-    images = mult * np.array(spec.a)[gather] % spec.ring.size
-    return CodeSpec(spec.ring, spec.alpha, tuple(min(images.tolist())))
+    return CodeSpec(spec.ring, spec.alpha, tuple(_least_image(spec)))
 
 
 def canonical_form_bordered(spec: CodeSpec) -> CodeSpec:
@@ -140,10 +148,7 @@ def canonical_form_bordered(spec: CodeSpec) -> CodeSpec:
     simultaneous negation of core and border."""
     if spec.border is None:
         raise ValueError("a double spec takes canonical_form")
-    c = len(spec.a)
-    gather, mult, border_mult = _group(spec.ring, c, spec.alpha, True)
-    images = np.hstack([mult * np.array(spec.a)[gather], np.outer(border_mult, spec.border)])
-    best = min((images % spec.ring.size).tolist())
+    c, best = len(spec.a), _least_image(spec)
     return CodeSpec(spec.ring, spec.alpha, tuple(best[:c]), tuple(best[c:]))
 
 

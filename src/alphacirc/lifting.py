@@ -16,8 +16,9 @@ G.  The module solves the system M u = rhs itself, as the kernel of
 (M | -rhs) over F_q; its solutions, an affine subspace of F_q^t, are exactly
 the self-dual lifts.  Chaining the step through R/(theta^2), R/(theta^3), ...,
 R constructs all self-dual codes over R above a base-field code, and keeping
-one lift per orbit of the Lee-isometric group of `equivalence` at each level
-leaves one code per equivalence class.
+one lift per orbit of the Lee-isometric group of `equivalence` at each level,
+found per parent under the parent's stabilizer, leaves one code per
+equivalence class.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .chainring import ChainRing, ChainRingError
 from .circulant import CodeSpec, gram_matrix
-from .equivalence import canonical_form, canonical_form_bordered
+from .equivalence import _group
 
 
 class BaseNotSelfDual(ValueError):
@@ -123,23 +124,39 @@ def solve_lift_system(matrix: np.ndarray, rhs: np.ndarray, q: int) -> np.ndarray
     return (particular + digits @ basis) % q
 
 
+def _lift_coords(base: CodeSpec, ring: ChainRing, alpha: int) -> tuple[CodeSpec, np.ndarray]:
+    """The section lift of `base` and the lift coordinates of its self-dual
+    lifts, one row per solution u of its system: spec0 + theta^{m-1} u."""
+    spec0 = section_lift_spec(base, ring, alpha)
+    solutions = solve_lift_system(*build_lift_system(spec0), ring.p)
+    return spec0, (np.array(_coords(spec0)) + ring.p ** (ring.m - 1) * solutions) % ring.size
+
+
 def self_dual_lifts(base: CodeSpec, ring: ChainRing, alpha: int):
     """The self-dual lifts of `base` to `ring` whose alpha is `alpha`: the
     section lift plus theta^{m-1} u for each solution u of its system."""
-    spec0 = section_lift_spec(base, ring, alpha)
-    solutions = solve_lift_system(*build_lift_system(spec0), ring.p)
-    coords = (np.array(_coords(spec0)) + ring.p ** (ring.m - 1) * solutions) % ring.size
+    spec0, coords = _lift_coords(base, ring, alpha)
     return (_with_coords(spec0, ring, alpha, u) for u in coords.tolist())
 
 
-def _one_per_orbit(specs):
-    """The first spec of each orbit of the cached group, in input order."""
-    seen = set()
-    for spec in specs:
-        key = canonical_form(spec) if spec.border is None else canonical_form_bordered(spec)
-        if key not in seen:
-            seen.add(key)
-            yield spec
+def _stabilizer_firsts(parent: CodeSpec, coords: np.ndarray, ring: ChainRing, alpha: int):
+    """The rows of `coords`, lifts of `parent` to `ring`, that come first in
+    their orbit under the stabilizer of the parent, in row order.
+
+    The stabilizer is the elements of `_group` that fix the parent's lift
+    coordinates modulo the parent's ring.  Each lift is keyed by its least
+    image under the stabilizer, compared as byte strings.
+    """
+    size = ring.size
+    gather, mult = _group(ring, len(parent.a), alpha, parent.border is not None)
+    below = np.array(_coords(parent))
+    fixed = ((mult * below[gather] - below) % parent.ring.size == 0).all(axis=1)
+    # products of residues fit the narrowest dtype that holds (size - 1)^2
+    small = np.min_scalar_type((size - 1) ** 2)
+    images = mult[fixed].astype(small) * coords.astype(small)[:, gather[fixed]] % size
+    images = np.ascontiguousarray(images)
+    keys = np.sort(images.view(f"S{images.shape[2] * images.itemsize}")[..., 0], axis=1)[:, 0]
+    return coords[np.sort(np.unique(keys, return_index=True)[1])]
 
 
 def nested_lift(base: CodeSpec, ring: ChainRing, alpha: int):
@@ -154,10 +171,17 @@ def nested_lift(base: CodeSpec, ring: ChainRing, alpha: int):
     base is equivalent to one of them.  Pruning an intermediate level drops
     only copies: an element of the group maps the self-dual lifts of L onto
     those of its image, and the group of each level projects onto the one
-    below.  The kept spec is the lift itself, not its canonical form, so it
-    still projects to the base.  The target `alpha`, reduced mod p^level at
-    each level, must be +-1: canonical forms reject any other square root
-    of one (3 or 5 over Z8), whose shift is no Lee isometry.
+    below.
+
+    The orbits are found per parent P, under its stabilizer: if g maps a
+    lift of P to another lift of P, then g fixes P modulo P's ring.  Lifts
+    of different parents never merge, since g would map one parent onto the
+    other and the parents are pairwise inequivalent.  So the first lift of
+    each stabilizer orbit, parent by parent, is the first lift of each orbit
+    of the whole group.  The kept spec is the lift itself, not a canonical
+    form, so it still projects to the base.  The target `alpha`, reduced
+    mod p^level at each level, must be +-1: the group rejects any other
+    square root of one (3 or 5 over Z8), whose shift is no Lee isometry.
     """
     if base.ring.m != 1 or base.ring.p != ring.p:
         raise ValueError("nested lifting starts from a spec over the residue field")
@@ -166,10 +190,11 @@ def nested_lift(base: CodeSpec, ring: ChainRing, alpha: int):
     current = [base]
     for level in range(2, ring.m + 1):
         target = ChainRing(ring.p, level)
-        lifts = (
-            lift
-            for spec in current
-            for lift in self_dual_lifts(spec, target, alpha % target.size)
-        )
-        current = list(_one_per_orbit(lifts))
+        level_alpha = alpha % target.size
+        lifts = []
+        for parent in current:
+            spec0, coords = _lift_coords(parent, target, level_alpha)
+            coords = _stabilizer_firsts(parent, coords, target, level_alpha)
+            lifts += (_with_coords(spec0, target, level_alpha, u) for u in coords.tolist())
+        current = lifts
     yield from current

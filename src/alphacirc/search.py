@@ -272,6 +272,8 @@ def run_search(cfg: SearchConfig) -> SearchResult:
         if cfg.checkpoint is not None:
             write_records(cfg.checkpoint, cfg, result)
 
+    if cfg.checkpoint is not None and not bases:  # the loop wrote none
+        write_records(cfg.checkpoint, cfg, result)
     if cfg.out is not None:
         write_records(cfg.out, cfg, result)
     return result
@@ -291,10 +293,12 @@ def write_records(path: str, cfg: SearchConfig, result: SearchResult) -> None:
     os.replace(path + ".tmp", path)
 
 
-def record_lines(path: str) -> list[str]:
-    """The record lines of a results file: every line but blank and `#` ones."""
+def record_lines(path: str) -> list[tuple[int, str]]:
+    """The record lines of a results file, each with its line number in the
+    file (from 1): every line but blank and `#` ones."""
     with open(path, encoding="utf-8") as fh:
-        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+        lines = enumerate(map(str.strip, fh), 1)
+        return [(i, line) for i, line in lines if line and not line.startswith("#")]
 
 
 def verify_record(rec: SearchRecord) -> bool:

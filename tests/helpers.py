@@ -193,6 +193,33 @@ def all_nested_lifts(base: CodeSpec, ring: ChainRing, alpha: int) -> list[CodeSp
     return current
 
 
+def one_per_orbit(specs):
+    """The first spec of each orbit of the cached group, in input order,
+    keyed on full-group canonical forms."""
+    seen = set()
+    for spec in specs:
+        key = canonical_form(spec) if spec.border is None else canonical_form_bordered(spec)
+        if key not in seen:
+            seen.add(key)
+            yield spec
+
+
+def nested_lift_oracle(base: CodeSpec, ring: ChainRing, alpha: int) -> list[CodeSpec]:
+    """`nested_lift` by full-group canonical forms: after each level, the
+    first lift of each orbit of the whole group over all of the level's
+    lifts, in solution order."""
+    from alphacirc.lifting import self_dual_lifts
+
+    current = [base]
+    for level in range(2, ring.m + 1):
+        target = ChainRing(ring.p, level)
+        lifts = (
+            lift for spec in current for lift in self_dual_lifts(spec, target, alpha % target.size)
+        )
+        current = list(one_per_orbit(lifts))
+    return current
+
+
 def spec_orbit(spec: CodeSpec) -> set[tuple]:
     """{(a, border)} keys of a spec's orbit under the breadth-first closures."""
     if spec.border is None:

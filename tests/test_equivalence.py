@@ -225,12 +225,12 @@ class TestGroupAgainstOracle:
     def group_orbit(spec):
         mod = spec.ring.size
         bordered = spec.border is not None
-        gather, mult, border_mult = _group(spec.ring, len(spec.a), spec.alpha, bordered)
-        images = mult * np.array(spec.a)[gather] % mod
+        gather, mult = _group(spec.ring, len(spec.a), spec.alpha, bordered)
+        images = (mult * np.array(spec.a + (spec.border or ()))[gather] % mod).tolist()
         if spec.border is None:
-            return {tuple(row) for row in images.tolist()}
-        borders = np.outer(border_mult, spec.border) % mod
-        return set(zip(map(tuple, images.tolist()), map(tuple, borders.tolist())))
+            return {tuple(row) for row in images}
+        k = len(spec.a)
+        return {(tuple(row[:k]), tuple(row[k:])) for row in images}
 
     @pytest.mark.parametrize(
         "ring, alpha, k_max",
@@ -285,13 +285,14 @@ class TestGroupIsLeeIsometric:
         signs = {1, ring.size - 1}
         for alpha in (1, ring.size - 1):
             for k in range(1, 7):
-                gather, mult, border_mult = _group(ring, k, alpha, bordered)
+                # the border, if any, is three more coordinates after the core
+                gather, mult = _group(ring, k, alpha, bordered)
+                t = k + 3 * bordered
                 assert set(mult.ravel().tolist()) <= signs, (alpha, k)
-                assert set(border_mult.tolist()) <= signs, (alpha, k)
-                assert all(sorted(row) == list(range(k)) for row in gather.tolist())
+                assert all(sorted(row) == list(range(t)) for row in gather.tolist())
                 # the negation is in the group, and nothing else scales every entry
                 scalars = {m[0] for g, m in zip(gather.tolist(), mult.tolist())
-                           if g == list(range(k)) and len(set(m)) == 1}
+                           if g == list(range(t)) and len(set(m)) == 1}
                 assert scalars == signs, (alpha, k)
 
     def test_rejects_alpha_other_than_sign(self):

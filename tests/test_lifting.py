@@ -10,11 +10,13 @@ from alphacirc import (
     ChainRing,
     ChainRingError,
     CodeSpec,
+    SearchConfig,
     is_self_dual,
     nested_lift,
     self_dual_lifts,
 )
 from alphacirc.lifting import build_lift_system, section_lift_spec, solve_lift_system
+from alphacirc.search import enumerate_base_codes
 
 Z2 = ChainRing(2, 1)
 Z4 = ChainRing(2, 2)
@@ -272,6 +274,20 @@ class TestNestedLift:
                     firsts.append(spec)
                     covered |= helpers.spec_orbit(spec)
             assert got == firsts, base
+
+    @pytest.mark.parametrize("family", ["double-nega", "bordered-circ"])
+    @pytest.mark.parametrize(
+        "ring, n", [("z4", 24), ("z4", 32), ("z8", 16), ("z9", 12), ("z9", 16)]
+    )
+    def test_matches_full_group_oracle(self, ring, n, family):
+        # the per-parent stabilizer dedup keeps exactly the lifts, in the same
+        # order, that full-group canonical forms keep, for every search base
+        cfg = SearchConfig(ring=ChainRing.from_name(ring), n=n, family=family)
+        bases = enumerate_base_codes(cfg)
+        assert bases
+        for base in bases:
+            got = list(nested_lift(base, cfg.ring, cfg.alpha))
+            assert got == helpers.nested_lift_oracle(base, cfg.ring, cfg.alpha), base
 
     def test_pruning_happens(self):
         # k = 4 over Z4 has 8 self-dual lifts in 2 orbits

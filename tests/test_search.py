@@ -174,7 +174,7 @@ class TestRunSearch:
             f"# family=double-nega ring=z4 n=8 prune=1 best_d_lee=6 witnesses={len(result.records)}"
             f" bases_examined={result.bases_examined} lifts_examined={result.lifts_examined}"
         )
-        records = [SearchRecord.from_line(line) for line in record_lines(str(out))]
+        records = [SearchRecord.from_line(line) for _, line in record_lines(str(out))]
         assert records == result.all_records
 
     def test_results_file_survives_failed_write(self, tmp_path, monkeypatch):
@@ -407,6 +407,29 @@ class TestCli:
         assert "FAIL line 1" in captured.err and "FAIL line 3" in captured.err
         assert "FAIL line 2" not in captured.err
         assert captured.out == "checked 3 records, 2 failures\n"
+
+    def test_search_without_bases_writes_checkpoint(self, tmp_path, capsys):
+        # Z9 n = 6 double-circ has no self-dual base
+        out, ck = tmp_path / "records.txt", tmp_path / "state.txt"
+        assert main([
+            "search", "--ring", "z9", "--length", "6", "--family", "double-circ",
+            "--out", str(out), "--checkpoint", str(ck),
+        ]) == 0
+        assert "bases=0 lifts=0" in capsys.readouterr().out
+        assert ck.read_bytes() == out.read_bytes()
+
+    def test_verify_numbers_file_lines(self, tmp_path, capsys):
+        # comment and blank lines count: the bad record is line 3 of the file
+        records = tmp_path / "records.txt"
+        records.write_text(
+            "# a comment\n"
+            "\n"
+            "double-nega z4 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=99 d_ham_base=4\n"
+        )
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL line 3:" in captured.err and "FAIL line 1:" not in captured.err
+        assert captured.out == "checked 1 records, 1 failures\n"
 
     def test_verify_short_border_fails_its_line_only(self, tmp_path, capsys):
         records = tmp_path / "records.txt"
