@@ -54,10 +54,13 @@ CASES = {
         ("distance", ["distance", "--ring", "z4", "--family", "double-nega",
                       "--vector", N40_VECTOR]),
     ],
-    # one run of each takes minutes (hours before the orbit-reduced
-    # certifier); select them with --case
+    # opt-in, select them with --case: an n = 40 search takes seconds (over a
+    # minute when every tie was certified), an n = 48 one minutes and about
+    # half a gigabyte
     "z4-n40-double-nega": _search_case(40, "double-nega"),
     "z4-n40-bordered-circ": _search_case(40, "bordered-circ"),
+    "z4-n48-double-nega": _search_case(48, "double-nega"),
+    "z4-n48-bordered-circ": _search_case(48, "bordered-circ"),
 }
 DEFAULT_CASES = ["z4-n32-double-nega", "z4-n32-bordered-circ", "z4-n40-double-nega-certificate"]
 

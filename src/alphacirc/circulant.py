@@ -68,14 +68,16 @@ def cir(a: tuple[int, ...], alpha: int, mod: int) -> np.ndarray:
 
 
 def generator_matrix(spec: CodeSpec) -> np.ndarray:
-    """The k x 2k generator matrix (I_k | right half) of the spec."""
-    k, mod = spec.k, spec.ring.size
-    right = np.zeros((k, k), dtype=np.int64)
+    """The k x 2k generator matrix (I_k | right half) of the spec.  Its
+    entries are the spec's, which are already reduced mod |R|."""
+    k = spec.k
+    G = np.zeros((k, 2 * k), dtype=np.int64)
+    G.flat[:: 2 * k + 1] = 1  # the diagonal of I_k
     if spec.border is not None:
-        right[0, 0], right[0, 1:], right[1:, 0] = spec.border
+        G[0, k], G[0, k + 1:], G[1:, k] = spec.border
     core = k - len(spec.a)
-    right[core:, core:] = cir(spec.a, spec.alpha, mod)
-    return np.hstack([np.eye(k, dtype=np.int64), right]) % mod
+    G[core:, k + core:] = cir(spec.a, spec.alpha, spec.ring.size)
+    return G
 
 
 def gram_matrix(spec: CodeSpec) -> np.ndarray:

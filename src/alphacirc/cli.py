@@ -48,8 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="results file (line-delimited records)")
     p.add_argument("--checkpoint", help="checkpoint file for resume")
     p.add_argument("--no-prune", action="store_true",
-                   help="disable the p^(m-1)*floor(p/2)*d_Ham cutoff and early aborts "
-                        "(for auditing)")
+                   help="evaluate every base and lift and list every tie")
     p.set_defaults(run=_cmd_search)
 
     p = sub.add_parser("verify", help="re-check a results file")

@@ -6,8 +6,11 @@ canonical form, sort by exact base Hamming distance descending, then lift
 each base through the chain ring and evaluate minimum Lee distances.  A lift
 over Z_{p^m} contains theta^{m-1} c for every base codeword c, so its d_Lee is
 at most p^{m-1} floor(p/2) d_Ham(base) (factor 2 over Z4, 4 over Z8, 3 over Z9,
-1 over F2 and F3).  The running best d prunes the bases whose lifts can at most
-tie it and aborts lift evaluations early once they cannot reach d.
+1 over F2 and F3).  A pruned search records only the lifts that raise the
+running best d: each lift is evaluated with an abort at d + 1, so a recorded
+value is exact, and the search stops lifting a base, and stops at the first
+base, whose bound is at most d.  The last record is the witness.  An unpruned
+search evaluates every lift exactly and records every tie.
 """
 
 from __future__ import annotations
@@ -163,7 +166,9 @@ class SearchResult:
 
     @property
     def records(self) -> list[SearchRecord]:
-        """The witnesses: the records that reach the best d_Lee."""
+        """The witnesses: the records that reach the best d_Lee.  A pruned
+        search records only lifts that raised the best, so it has one
+        witness, its last record; an unpruned one lists every tie."""
         return [r for r in self.all_records if r.d_lee == self.best_d_lee]
 
 
@@ -251,10 +256,10 @@ def run_search(cfg: SearchConfig) -> SearchResult:
             break
         for lift in nested_lift(base, cfg.ring, cfg.alpha):
             result.lifts_examined += 1
-            abort = result.best_d_lee if cfg.prune and result.best_d_lee > 0 else None
+            # pruned: the sweep stops at a weight <= d, so a value above d is exact
+            abort = result.best_d_lee + 1 if cfg.prune and result.best_d_lee else None
             val = min_lee_distance(lift, early_abort_at=abort)
-            if val >= result.best_d_lee:
-                # exact by construction: the abort threshold never exceeds d
+            if val > result.best_d_lee or (val == result.best_d_lee and not cfg.prune):
                 result.best_d_lee = val
                 result.all_records.append(
                     SearchRecord(
@@ -268,6 +273,8 @@ def run_search(cfg: SearchConfig) -> SearchResult:
                         d_ham_base=d_ham,
                     )
                 )
+                if cfg.prune and lee_factor * d_ham <= result.best_d_lee:
+                    break  # no other lift of this base can beat d
         result.bases_examined += 1
         if cfg.checkpoint is not None:
             write_records(cfg.checkpoint, cfg, result)

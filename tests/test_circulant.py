@@ -121,6 +121,29 @@ class TestGeneratorMatrix:
         right = generator_matrix(spec)[:, 4:]
         assert right.tolist() == [[1, 3, 3, 0], [0, 1, 3, 3], [1, 0, 1, 3], [1, 1, 0, 1]]
 
+    @pytest.mark.parametrize("name", ["z4", "z8", "z9"])
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_matches_dense_oracle(self, name, bordered):
+        # (I | right) written entry by entry: the corner, top row and left
+        # column of the border, then a_{j-i} on and above the core's
+        # diagonal and alpha a_{k+j-i} below it, all mod |R|
+        ring, rng = ChainRing.from_name(name), random.Random(11)
+        alphas = [1] if bordered else [u for u in range(ring.size) if ring.is_unit(u)]
+        for alpha, k in itertools.product(alphas, range(2, 8)):
+            core = k - bordered
+            a = rand_vec(ring, core, rng)
+            border = rand_vec(ring, 3, rng) if bordered else None
+            dense = [[int(i == j) for j in range(k)] + [0] * k for i in range(k)]
+            if bordered:
+                dense[0][k:] = [border[0]] + [border[1]] * core
+                for i in range(1, k):
+                    dense[i][k] = border[2]
+            for i, j in itertools.product(range(core), repeat=2):
+                coef = a[j - i] if j >= i else alpha * a[core + j - i]
+                dense[k - core + i][2 * k - core + j] = coef % ring.size
+            G = generator_matrix(CodeSpec(ring, alpha, a, border))
+            assert G.dtype == np.int64 and G.tolist() == dense
+
 
 class TestSelfDual:
     def test_binary_extended_hamming_generator(self):

@@ -23,6 +23,7 @@ from alphacirc import (
     verify_record,
 )
 from alphacirc.cli import main
+from alphacirc.lifting import nested_lift
 from alphacirc.search import record_lines, write_records
 
 Z4 = ChainRing(2, 2)
@@ -223,6 +224,25 @@ class TestRunSearch:
             assert ck.read_bytes() == out.read_bytes()
         assert len(list(tmp_path.iterdir())) == 4  # no temporary file is left
 
+    def test_pruned_checkpoint_resume(self, tmp_path, monkeypatch):
+        # a pruned search resumed after its first base ends with the results
+        # file of a search that ran through
+        def interrupt_after_first_base(*args):
+            write_records(*args)
+            raise KeyboardInterrupt
+
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        z9 = dict(ring=ChainRing.from_name("z9"), n=16, family="bordered-circ")
+        fresh = run_search(cfg(**z9, out=str(out)))
+        assert fresh.bases_examined > 1
+        config = cfg(**z9, checkpoint=str(ck))
+        monkeypatch.setattr(alphacirc.search, "write_records", interrupt_after_first_base)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(config)
+        monkeypatch.undo()
+        assert run_search(config) == fresh
+        assert ck.read_bytes() == out.read_bytes()
+
     @pytest.mark.parametrize("ring, best", [("z9", 9), ("z8", 12)])
     def test_base_cutoff_holds_over_every_ring(self, ring, best, tmp_path):
         # a running best of 8 must not cut the bases with d_Ham = 4: over
@@ -237,6 +257,39 @@ class TestRunSearch:
         config = dict(ring=ChainRing.from_name(ring), n=n, family=family)
         pruned, unpruned = run_search(cfg(**config)), run_search(cfg(**config, prune=False))
         assert pruned.best_d_lee == unpruned.best_d_lee
+
+    @pytest.mark.parametrize(
+        "ring, n", [("z4", 8), ("z4", 16), ("z8", 8), ("z8", 16), ("z9", 12), ("z9", 16)]
+    )
+    @pytest.mark.parametrize("family", ["double-nega", "bordered-circ"])
+    def test_pruned_records_raise_the_best(self, ring, n, family):
+        # a pruned search records the lifts that raise the best: the unpruned
+        # records (every lift at the running best, ties too) cut to the strict
+        # rises, and the last of them is one of the unpruned witnesses
+        config = dict(ring=ChainRing.from_name(ring), n=n, family=family)
+        pruned, unpruned = run_search(cfg(**config)), run_search(cfg(**config, prune=False))
+        rises, best = [], 0
+        for rec in unpruned.all_records:
+            if rec.d_lee > best:
+                rises.append(rec)
+                best = rec.d_lee
+        assert pruned.all_records == rises
+        values = [rec.d_lee for rec in pruned.all_records]
+        assert values == sorted(set(values)) and values[-1] == unpruned.best_d_lee
+        assert pruned.best_d_lee == unpruned.best_d_lee
+        assert pruned.records == pruned.all_records[-1:]
+        assert pruned.records[0] in unpruned.records
+        assert all(map(verify_record, pruned.all_records))
+
+    def test_stops_lifting_a_base_at_its_bound(self):
+        # the top Z4 n = 16 double-nega base has d_Ham 4 and 6 lift orbits;
+        # its second lift reaches the bound 2 * 4 = 8, so no other lift of it
+        # is evaluated and the next base is not lifted either
+        top, d_ham = alphacirc.search._sorted_bases(cfg(n=16))[0]
+        assert d_ham == 4 and len(list(nested_lift(top, Z4, 3))) == 6
+        pruned, unpruned = run_search(cfg(n=16)), run_search(cfg(n=16, prune=False))
+        assert (pruned.best_d_lee, pruned.bases_examined, pruned.lifts_examined) == (8, 1, 2)
+        assert (unpruned.best_d_lee, unpruned.bases_examined, unpruned.lifts_examined) == (8, 2, 10)
 
     def test_checkpoint_fingerprint_mismatch_ignored(self, tmp_path):
         # the summary line of another search: other family, ring, length or
