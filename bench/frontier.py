@@ -41,9 +41,9 @@ ROOT = Path(__file__).resolve().parent.parent
 N40_VECTOR = "2,0,2,2,0,2,0,0,0,1,3,0,3,3,0,0,2,3,3,1"
 
 
-def _search_case(n: int, family: str) -> list[tuple[str, list[str]]]:
+def _search_case(n: int, family: str, *flags: str) -> list[tuple[str, list[str]]]:
     search = ["search", "--ring", "z4", "--length", str(n), "--family", family,
-              "--out", "{dir}/records.txt"]
+              "--out", "{dir}/records.txt", *flags]
     return [("search", search), ("verify", ["verify", "--in", "{dir}/records.txt"])]
 
 
@@ -54,9 +54,11 @@ CASES = {
         ("distance", ["distance", "--ring", "z4", "--family", "double-nega",
                       "--vector", N40_VECTOR]),
     ],
-    # opt-in, select them with --case: an n = 40 search takes seconds (over a
-    # minute when every tie was certified), an n = 48 one minutes and about
-    # half a gigabyte
+    # opt-in, select them with --case: an n = 32 census (every tie certified)
+    # takes seconds, an n = 40 search seconds (over a minute when every tie
+    # was certified), an n = 48 one minutes and about half a gigabyte
+    "z4-n32-double-nega-census": _search_case(32, "double-nega", "--no-prune"),
+    "z4-n32-bordered-circ-census": _search_case(32, "bordered-circ", "--no-prune"),
     "z4-n40-double-nega": _search_case(40, "double-nega"),
     "z4-n40-bordered-circ": _search_case(40, "bordered-circ"),
     "z4-n48-double-nega": _search_case(48, "double-nega"),

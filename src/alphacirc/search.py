@@ -6,11 +6,11 @@ canonical form, sort by exact base Hamming distance descending, then lift
 each base through the chain ring and evaluate minimum Lee distances.  A lift
 over Z_{p^m} contains theta^{m-1} c for every base codeword c, so its d_Lee is
 at most p^{m-1} floor(p/2) d_Ham(base) (factor 2 over Z4, 4 over Z8, 3 over Z9,
-1 over F2 and F3).  A pruned search records only the lifts that raise the
-running best d: each lift is evaluated with an abort at d + 1, so a recorded
-value is exact, and the search stops lifting a base, and stops at the first
-base, whose bound is at most d.  The last record is the witness.  An unpruned
-search evaluates every lift exactly and records every tie.
+1 over F2 and F3).  With d the running best, a lift is evaluated with an abort
+at need = d + 1 (need = d in an unpruned search, a census) and recorded when it
+reaches need, so every recorded value is exact.  A pruned search stops lifting a
+base, and stops at the first base, whose bound is at most d; its last record is
+the witness.  A census lifts every base and records every tie.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ import itertools
 import os
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .chainring import ChainRing
 from .circulant import CodeSpec, format_vector, is_self_dual, parse_vector, self_dual_mask
-from .distance import _orbit_leaders, is_doubly_even, min_hamming_distance, min_lee_distance
+from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form, canonical_form_bordered, necklaces
 from .lifting import nested_lift
 
@@ -179,11 +177,11 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
     crossed with every border for bordered families, which always have
     alpha = 1.  With alpha = 1 rotation is in the group, so every orbit
     contains a candidate.  For double-nega over odd p, alpha = -1 and the
-    candidates are the prenecklaces that are least in their orbit under the
-    alpha-shift and -1 (`_orbit_leaders`): the alpha-shifts of w are the
-    length-k windows of the rotations of (w | alpha w), so the least word of
-    each such orbit starts the necklace of (w | alpha w), and every orbit of
-    the group, which holds both maps, contains a candidate.
+    candidates are the prenecklaces: the alpha-shifts of w are the length-k
+    windows of the rotations of (w | alpha w), so the least word of each
+    alpha-shift orbit starts the necklace of (w | alpha w), which makes it a
+    prenecklace, and every orbit of the group, which holds the alpha-shift,
+    contains a candidate.
 
     The candidates are sieved in blocks of `_BLOCK` by `self_dual_mask`: the
     Gram matrix of the alpha-circulant part is alpha-circulant, so the row-0
@@ -205,10 +203,6 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
         words, borders = necklaces(cfg.k, ring.p, prefixes=alpha != 1), None
     reps: dict[CodeSpec, None] = {}  # an insertion-ordered set
     while block := list(itertools.islice(words, _BLOCK)):
-        if alpha != 1:
-            leaders = _orbit_leaders(np.array(block, np.uint8), ring.p, (0, alpha))
-            if not (block := list(map(tuple, leaders.tolist()))):
-                continue
         mask = self_dual_mask(ring, alpha, block, borders).reshape(len(block), -1)
         for i, b in zip(*mask.nonzero()):
             spec = CodeSpec(ring, alpha, block[i], None if borders is None else borders[b])
@@ -225,8 +219,8 @@ def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
 
 
 def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
-    """The state saved for this search, or a fresh one when there is none,
-    it is malformed or it belongs to another search."""
+    """The state saved for this search, or a fresh one when there is none or
+    it is not a results file this search could have written."""
     if cfg.checkpoint is None:
         return SearchResult()
     try:
@@ -236,7 +230,7 @@ def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
         if not summary.startswith(prefix):
             return SearchResult()
         counts = dict(f.split("=", 1) for f in summary[len(prefix):].split())
-        return SearchResult(
+        result = SearchResult(
             best_d_lee=int(counts["best_d_lee"]),
             all_records=[SearchRecord.from_line(line) for line in lines],
             bases_examined=int(counts["bases_examined"]),
@@ -244,6 +238,10 @@ def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
         )
     except (OSError, KeyError, ValueError):
         return SearchResult()
+    # each record at least `prune` above the one before, the last at the best
+    values = [rec.d_lee for rec in result.all_records]
+    chained = all(b >= a + cfg.prune for a, b in zip(values, values[1:]))
+    return result if chained and values[-1:] in ([], [result.best_d_lee]) else SearchResult()
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
@@ -256,10 +254,10 @@ def run_search(cfg: SearchConfig) -> SearchResult:
             break
         for lift in nested_lift(base, cfg.ring, cfg.alpha):
             result.lifts_examined += 1
-            # pruned: the sweep stops at a weight <= d, so a value above d is exact
-            abort = result.best_d_lee + 1 if cfg.prune and result.best_d_lee else None
-            val = min_lee_distance(lift, early_abort_at=abort)
-            if val > result.best_d_lee or (val == result.best_d_lee and not cfg.prune):
+            # the sweep stops below `need`, so every value it records is exact
+            need = result.best_d_lee + cfg.prune
+            val = min_lee_distance(lift, early_abort_at=need if result.best_d_lee else None)
+            if val >= need:
                 result.best_d_lee = val
                 result.all_records.append(
                     SearchRecord(

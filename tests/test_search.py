@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import pathlib
@@ -259,6 +260,35 @@ class TestRunSearch:
         assert pruned.best_d_lee == unpruned.best_d_lee
 
     @pytest.mark.parametrize(
+        "ring, n", [("z4", 16), ("z4", 24), ("z8", 16), ("z9", 16), ("z9", 20)]
+    )
+    @pytest.mark.parametrize("family", ["double-nega", "bordered-circ"])
+    def test_census_matches_exact_evaluation(self, ring, n, family, monkeypatch):
+        # a census aborts each lift below the running best, and exactly those:
+        # it ends with the result of a census that evaluates every lift exactly
+        config = cfg(ring=ChainRing.from_name(ring), n=n, family=family, prune=False)
+        aborted, exact = [], []
+
+        def aborting(spec, early_abort_at=None):
+            val = min_lee_distance(spec, early_abort_at=early_abort_at)
+            aborted.append(early_abort_at is not None and val < early_abort_at)
+            return val
+
+        def exhaustive(spec, early_abort_at=None):
+            exact.append(min_lee_distance(spec))
+            return exact[-1]
+
+        monkeypatch.setattr(alphacirc.search, "min_lee_distance", aborting)
+        census = run_search(config)
+        monkeypatch.setattr(alphacirc.search, "min_lee_distance", exhaustive)
+        assert census == run_search(config)
+        below, best = [], 0
+        for val in exact:
+            below.append(val < best)
+            best = max(best, val)
+        assert aborted == below
+
+    @pytest.mark.parametrize(
         "ring, n", [("z4", 8), ("z4", 16), ("z8", 8), ("z8", 16), ("z9", 12), ("z9", 16)]
     )
     @pytest.mark.parametrize("family", ["double-nega", "bordered-circ"])
@@ -320,6 +350,26 @@ class TestRunSearch:
             ck.write_text(json.dumps(old))
             assert run_search(cfg(n=16, checkpoint=str(ck))) == fresh
             assert ck.read_bytes() == out.read_bytes()
+
+    def test_checkpoint_not_a_record_chain_starts_over(self, tmp_path):
+        # a pruned checkpoint that lists a tie, as earlier versions wrote, one
+        # whose last record is below its best, and a census checkpoint whose
+        # values fall: none is a chain this search writes, so the search starts
+        # over and writes a fresh results file
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        for config, edit in (
+            (cfg(family="bordered-circ"), lambda records: records + records[-1:]),
+            (cfg(family="bordered-circ"), lambda records: records[:-1]),
+            (cfg(n=16, prune=False), lambda records: records[-1:] + records),
+        ):
+            fresh = run_search(dataclasses.replace(config, out=str(out)))
+            *records, summary = out.read_text().splitlines()
+            assert SearchRecord.from_line(records[0]).d_lee < fresh.best_d_lee
+            records = edit(records)
+            ck.write_text("\n".join([*records, summary]) + "\n")
+            resumed = dataclasses.replace(config, checkpoint=str(ck), out=str(tmp_path / "new.txt"))
+            assert run_search(resumed) == fresh
+            assert (tmp_path / "new.txt").read_bytes() == out.read_bytes() == ck.read_bytes()
 
     @pytest.mark.parametrize(
         "text",
