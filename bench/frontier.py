@@ -11,9 +11,6 @@ the report gives the median wall time of each command, the peak RSS of its
 processes, and the SHA-256 of its output files and stdout, which must be the
 same in every run.  With `--before`, the same cases also run on the other
 checkout, alternating with this one, and the report puts both side by side.
-The searches pass no `--extended`: a `--before` checkout that still gates
-n > 24 behind that flag fails its n >= 32 search cases, so measure such a
-checkout with its own copy of this script.
 
 The report is written to `BENCH_<date>.json` at the root of the checkout
 (or `--out`), with the machine and each checkout's net src lines.

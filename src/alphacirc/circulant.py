@@ -41,10 +41,20 @@ class CodeSpec:
             raise ChainRingError("generating vector must be non-empty")
         if self.border is not None and len(self.border) != 3:
             raise ValueError(f"a border is (beta, gamma, delta), got {self.border!r}")
-        coords = self.a + (self.border or ())
-        if not 0 <= min(coords) <= max(coords) < size:  # the loop names the culprit
-            for c in coords:
+        if not 0 <= min(self.coords) <= max(self.coords) < size:  # the loop names the culprit
+            for c in self.coords:
                 self.ring.elem(c)
+
+    @property
+    def coords(self) -> tuple[int, ...]:
+        """The core, then the border: what lifting solves for and the group permutes."""
+        return self.a + (self.border or ())
+
+    def with_coords(self, ring: ChainRing, alpha: int, coords) -> "CodeSpec":
+        """The spec of the same shape over `ring` and `alpha` whose coordinates are `coords`."""
+        c = len(self.a)
+        border = None if self.border is None else tuple(coords[c:])
+        return CodeSpec(ring, alpha, tuple(coords[:c]), border)
 
     @property
     def k(self) -> int:

@@ -6,14 +6,15 @@ matrices by A -> N^{-1} A M.  The pairs used here (shifts, the scalar -1 and
 the substitution maps f(x) -> f((alpha x)^s)) preserve alpha-circulant
 structure, so each one is a map on generating vectors, given in closed form
 on plain tuples by `shift_right` and `substitute`.  Every element of the
-group they generate sends a generating vector a to (mult_j * a_{gather_j})_j:
-`_group` reads the generators' gather indices and multipliers off their
-images of the unit vectors, closes the group once per (ring, k, alpha,
-bordered), extends it over a bordered spec's border and caches it.  With
-alpha = +-1 every multiplier is +-1, so each element preserves
-self-duality and Lee weight.  A canonical form is the
-`CodeSpec` whose vector (and border) is the lexicographic minimum over the
-images under all of the group's elements.
+group they generate sends a spec's coordinates c = `CodeSpec.coords` (the
+generating vector, then any border) to (mult_j * c_{gather_j})_j: `_group`
+reads the generators' gather indices and multipliers off their images of
+the unit vectors, closes the group once per (ring, k, alpha, bordered) and
+caches it.  With alpha = +-1 every multiplier is +-1, so each element
+preserves self-duality and Lee weight.  The one routine that applies group
+elements, `_least_images`, gives the least image of each coordinate row:
+the canonical forms take it under the whole group, and `lifting` under a
+parent's stabilizer.
 """
 
 from __future__ import annotations
@@ -62,19 +63,16 @@ def substitute(a: tuple[int, ...], alpha: int, mod: int, s: int) -> tuple[int, .
 
 # --- the group and canonical forms ------------------------------------------
 
-# An element is (gather, mult, border): it sends the core a to
-# (mult[j] * a[gather[j]])_j and multiplies a bordered spec's border by `border`.
-_Element = tuple[tuple[int, ...], tuple[int, ...], int]
+# An element (gather, mult) sends coordinates c to (mult[j] * c[gather[j]])_j.
+_Element = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _monomial(
-    f: Callable[[tuple[int, ...]], tuple[int, ...]], k: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Gather indices and multipliers of the monomial map f on length-k
+def _monomial(f: Callable[[tuple[int, ...]], tuple[int, ...]], t: int) -> _Element:
+    """Gather indices and multipliers of the monomial map f on length-t
     vectors, read off its images of the unit vectors."""
-    gather, mult = [0] * k, [0] * k
-    for i in range(k):
-        image = f(tuple(int(j == i) for j in range(k)))
+    gather, mult = [0] * t, [0] * t
+    for i in range(t):
+        image = f(tuple(int(j == i) for j in range(t)))
         j = next(j for j, c in enumerate(image) if c)
         gather[j], mult[j] = i, image[j]
     return tuple(gather), tuple(mult)
@@ -82,56 +80,59 @@ def _monomial(
 
 def _compose(h: _Element, g: _Element, mod: int) -> _Element:
     """The element that applies g, then h."""
-    (h_gather, h_mult, h_border), (g_gather, g_mult, g_border) = h, g
+    (h_gather, h_mult), (g_gather, g_mult) = h, g
     return (
         tuple(g_gather[j] for j in h_gather),
         tuple(m * g_mult[j] % mod for j, m in zip(h_gather, h_mult)),
-        h_border * g_border % mod,
     )
 
 
 @functools.cache
 def _group(ring: ChainRing, k: int, alpha: int, bordered: bool) -> tuple[np.ndarray, np.ndarray]:
     """Every group element as a row of gather indices and a row of
-    multipliers over a spec's coordinates, the k core entries and then the
-    border (beta, gamma, delta) of bordered groups (cached, read-only).
+    multipliers over `CodeSpec.coords`, the k core entries and then the
+    border of bordered groups (cached, read-only).
 
-    alpha and the only scalar lambda are +-1, so every multiplier is +-1 and
-    each element is a signed permutation of coordinates: it preserves
-    self-duality and Lee weight.  (The other square roots of one, such as 3
-    and 5 over Z8, keep self-duality but not Lee weight.)  Bordered groups keep only the
-    substitutions with a scalar diagonal part, which leave the border vectors
-    in place, and scale the border together with the core.
+    Each generator acts on all k + 3 * bordered coordinates: the shift and
+    the substitutions leave the border in place, and the scalar -1 scales
+    it too.  Bordered groups keep only the substitutions with a scalar
+    diagonal part, which leave the border vectors of the matrix in place.
+    alpha and the only scalar are +-1, so each element is a signed coordinate
+    permutation and keeps self-duality and Lee weight (the other square
+    roots of one, such as 3 and 5 over Z8, keep only self-duality).
     """
     mod = ring.size
-    if alpha % mod not in (1, mod - 1):
-        raise ChainRingError("canonical forms require alpha = +-1")
-    identity = (tuple(range(k)), (1,) * k, 1)
-    gens = [(*_monomial(lambda a: shift_right(a, alpha, mod), k), 1)]
+    if alpha % mod not in (1, mod - 1) or mod > 256:  # `_least_images` returns uint8
+        raise ChainRingError(f"canonical forms need |R| <= 256 and alpha = +-1, not {alpha}")
+    t = k + 3 * bordered
+    gens = [_monomial(lambda c: shift_right(c[:k], alpha, mod) + c[k:], t)]
     for s in _substitution_exponents(k, alpha, mod):
-        gather, mult = _monomial(lambda a, s=s: substitute(a, alpha, mod, s), k)
-        if not bordered or len(set(mult)) == 1:
-            gens.append((gather, mult, 1))
-    gens.append((identity[0], (mod - 1,) * k, mod - 1 if bordered else 1))
-    elements = {identity}
-    frontier = elements
+        gather, mult = _monomial(lambda c, s=s: substitute(c[:k], alpha, mod, s) + c[k:], t)
+        if not bordered or len(set(mult[:k])) == 1:
+            gens.append((gather, mult))
+    gens.append((tuple(range(t)), (mod - 1,) * t))
+    frontier = elements = {(tuple(range(t)), (1,) * t)}
     while frontier:
         frontier = {_compose(h, g, mod) for g in frontier for h in gens} - elements
         elements |= frontier
-    gather, mult, border = (np.array(column) for column in zip(*elements))
-    if bordered:  # the border stays in place, scaled by the element's border multiplier
-        gather = np.hstack([gather, np.broadcast_to(np.arange(k, k + 3), (len(border), 3))])
-        mult = np.hstack([mult, np.repeat(border[:, None], 3, axis=1)])
-    for array in (gather, mult):
-        array.flags.writeable = False
+    gather, mult = (np.array(column) for column in zip(*elements))
+    gather.flags.writeable = mult.flags.writeable = False
     return gather, mult
 
 
+def _least_images(coords, gather: np.ndarray, mult: np.ndarray, size: int) -> np.ndarray:
+    """The lexicographically least image of each row of `coords` under the
+    elements (gather, mult), as uint8 rows: products are taken in the
+    narrowest dtype that holds (size - 1)^2 and reduced, then compared as bytes."""
+    small = np.min_scalar_type((size - 1) ** 2)
+    images = mult.astype(small) * np.asarray(coords, dtype=small)[:, gather] % size
+    keys = images.astype(np.uint8, order="C", copy=False).view(f"S{images.shape[2]}")[..., 0]
+    return np.sort(keys, axis=1)[:, :1].view(np.uint8)
+
+
 def _least_image(spec: CodeSpec) -> list[int]:
-    """The lexicographically least image of the spec's coordinates (core,
-    then border) under the group."""
     gather, mult = _group(spec.ring, len(spec.a), spec.alpha, spec.border is not None)
-    return min((mult * np.array(spec.a + (spec.border or ()))[gather] % spec.ring.size).tolist())
+    return _least_images([spec.coords], gather, mult, spec.ring.size)[0].tolist()
 
 
 def canonical_form(spec: CodeSpec) -> CodeSpec:
@@ -139,7 +140,7 @@ def canonical_form(spec: CodeSpec) -> CodeSpec:
     orbit of spec.a (index 0 most significant)."""
     if spec.border is not None:
         raise ValueError("a bordered spec takes canonical_form_bordered")
-    return CodeSpec(spec.ring, spec.alpha, tuple(_least_image(spec)))
+    return spec.with_coords(spec.ring, spec.alpha, _least_image(spec))
 
 
 def canonical_form_bordered(spec: CodeSpec) -> CodeSpec:
@@ -148,8 +149,7 @@ def canonical_form_bordered(spec: CodeSpec) -> CodeSpec:
     simultaneous negation of core and border."""
     if spec.border is None:
         raise ValueError("a double spec takes canonical_form")
-    c, best = len(spec.a), _least_image(spec)
-    return CodeSpec(spec.ring, spec.alpha, tuple(best[:c]), tuple(best[c:]))
+    return spec.with_coords(spec.ring, spec.alpha, _least_image(spec))
 
 
 def necklaces(k: int, q: int, prefixes: bool = False) -> Iterator[tuple[int, ...]]:

@@ -7,8 +7,9 @@ linearizes to
 
     G_0 G_0^t + theta^{m-1} (G_0 D^t + D G_0^t) = 0,
 
-which is F_q-linear in the t ideal coordinates u of the lift vector a + border
-(t = k for double specs, t = k + 2 for bordered ones).  By that linearity,
+which is F_q-linear in the ideal parts u of the t coordinates of
+`CodeSpec.coords`, the vector and then the border (t = k for double specs,
+t = k + 2 for bordered ones).  By that linearity,
 column v of the system is the change in the upper Gram triangle when
 coordinate v of G_0 moves by theta^{m-1}, divided by theta^{m-1} and reduced
 mod theta; only `circulant.generator_matrix` knows where a coordinate sits in
@@ -17,8 +18,8 @@ G.  The module solves the system M u = rhs itself, as the kernel of
 the self-dual lifts.  Chaining the step through R/(theta^2), R/(theta^3), ...,
 R constructs all self-dual codes over R above a base-field code, and keeping
 one lift per orbit of the Lee-isometric group of `equivalence` at each level,
-found per parent under the parent's stabilizer, leaves one code per
-equivalence class.
+found per parent under the parent's stabilizer by the group's one
+least-image routine, leaves one code per equivalence class.
 """
 
 from __future__ import annotations
@@ -29,23 +30,11 @@ import numpy as np
 
 from .chainring import ChainRing, ChainRingError
 from .circulant import CodeSpec, gram_matrix
-from .equivalence import _group
+from .equivalence import _group, _least_images
 
 
 class BaseNotSelfDual(ValueError):
     """The base code is not self-dual over R/I, so no self-dual lift exists."""
-
-
-def _coords(spec: CodeSpec) -> tuple[int, ...]:
-    """The lift coordinates of a spec: its circulant entries, then its border."""
-    return spec.a + (spec.border or ())
-
-
-def _with_coords(spec: CodeSpec, ring: ChainRing, alpha: int, coords) -> CodeSpec:
-    """The spec of the same shape over `ring` whose lift coordinates are `coords`."""
-    nc = len(spec.a)
-    border = None if spec.border is None else tuple(coords[nc:])
-    return CodeSpec(ring, alpha, tuple(coords[:nc]), border)
 
 
 def section_lift_spec(base: CodeSpec, ring: ChainRing, alpha: int) -> CodeSpec:
@@ -58,8 +47,7 @@ def section_lift_spec(base: CodeSpec, ring: ChainRing, alpha: int) -> CodeSpec:
         raise ValueError("base spec must live over R/I for the target ring R")
     if base.alpha != alpha % base.ring.size:
         raise ValueError("base alpha is not the projection of the target alpha")
-    coords = [alpha if c == base.alpha else c for c in _coords(base)]
-    return _with_coords(base, ring, alpha, coords)
+    return base.with_coords(ring, alpha, [alpha if c == base.alpha else c for c in base.coords])
 
 
 def build_lift_system(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -82,12 +70,11 @@ def build_lift_system(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
         raise BaseNotSelfDual(
             f"Gram entry ({upper[0][e]},{upper[1][e]}) = {gram0[e]} is not in the minimal ideal"
         )
-    coords0 = _coords(spec0)
     columns = []
-    for v in range(len(coords0)):
-        coords = list(coords0)
+    for v in range(len(spec0.coords)):
+        coords = list(spec0.coords)
         coords[v] = (coords[v] + ideal_gen) % mod
-        gram_v = gram_matrix(_with_coords(spec0, ring, spec0.alpha, coords))[upper]
+        gram_v = gram_matrix(spec0.with_coords(ring, spec0.alpha, coords))[upper]
         # both Grams lie in I, so the difference divides exactly
         columns.append((gram_v - gram0) // ideal_gen % p)
     return np.stack(columns, axis=1), -(gram0 // ideal_gen) % p
@@ -129,34 +116,32 @@ def _lift_coords(base: CodeSpec, ring: ChainRing, alpha: int) -> tuple[CodeSpec,
     lifts, one row per solution u of its system: spec0 + theta^{m-1} u."""
     spec0 = section_lift_spec(base, ring, alpha)
     solutions = solve_lift_system(*build_lift_system(spec0), ring.p)
-    return spec0, (np.array(_coords(spec0)) + ring.p ** (ring.m - 1) * solutions) % ring.size
+    return spec0, (np.array(spec0.coords) + ring.p ** (ring.m - 1) * solutions) % ring.size
 
 
 def self_dual_lifts(base: CodeSpec, ring: ChainRing, alpha: int):
     """The self-dual lifts of `base` to `ring` whose alpha is `alpha`: the
     section lift plus theta^{m-1} u for each solution u of its system."""
     spec0, coords = _lift_coords(base, ring, alpha)
-    return (_with_coords(spec0, ring, alpha, u) for u in coords.tolist())
+    return (spec0.with_coords(ring, alpha, u) for u in coords.tolist())
 
 
 def _stabilizer_firsts(parent: CodeSpec, coords: np.ndarray, ring: ChainRing, alpha: int):
     """The rows of `coords`, lifts of `parent` to `ring`, that come first in
     their orbit under the stabilizer of the parent, in row order.
 
-    The stabilizer is the elements of `_group` that fix the parent's lift
-    coordinates modulo the parent's ring.  Each lift is keyed by its least
-    image under the stabilizer, compared as byte strings.
+    The stabilizer is the elements of `_group` that fix the parent's
+    coordinates modulo the parent's ring.  A lift's key is its least image
+    under them (`equivalence._least_images`); a stable sort finds the firsts.
     """
-    size = ring.size
     gather, mult = _group(ring, len(parent.a), alpha, parent.border is not None)
-    below = np.array(_coords(parent))
+    below = np.array(parent.coords)
     fixed = ((mult * below[gather] - below) % parent.ring.size == 0).all(axis=1)
-    # products of residues fit the narrowest dtype that holds (size - 1)^2
-    small = np.min_scalar_type((size - 1) ** 2)
-    images = mult[fixed].astype(small) * coords.astype(small)[:, gather[fixed]] % size
-    images = np.ascontiguousarray(images)
-    keys = np.sort(images.view(f"S{images.shape[2] * images.itemsize}")[..., 0], axis=1)[:, 0]
-    return coords[np.sort(np.unique(keys, return_index=True)[1])]
+    keys = _least_images(coords, gather[fixed], mult[fixed], ring.size)
+    order = np.lexsort(keys.T[::-1])  # a stable sort: equal keys stay in row order
+    ordered, first = keys[order], np.ones(len(keys), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return coords[np.sort(order[first])]
 
 
 def nested_lift(base: CodeSpec, ring: ChainRing, alpha: int):
@@ -195,6 +180,6 @@ def nested_lift(base: CodeSpec, ring: ChainRing, alpha: int):
         for parent in current:
             spec0, coords = _lift_coords(parent, target, level_alpha)
             coords = _stabilizer_firsts(parent, coords, target, level_alpha)
-            lifts += (_with_coords(spec0, target, level_alpha, u) for u in coords.tolist())
+            lifts += (spec0.with_coords(target, level_alpha, u) for u in coords.tolist())
         current = lifts
     yield from current

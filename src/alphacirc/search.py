@@ -1,6 +1,6 @@
 """Best-minimum-Lee-distance search over double and bordered circulant codes.
 
-Pipeline per length n = 2k: enumerate self-dual (and, for Z4 targets,
+Pipeline per length n = 2k: enumerate self-dual (and, for Z4 and Z8 targets,
 doubly-even) base codes over the residue field, deduplicate by orbit
 canonical form, sort by exact base Hamming distance descending, then lift
 each base through the chain ring and evaluate minimum Lee distances.  A lift
@@ -74,9 +74,9 @@ class SearchConfig:
             raise ConfigurationError(
                 f"bordered codes need n >= 4 for a non-empty core, got n = {self.n}"
             )
-        if self.ring.size == 4 and self.n % 8:
+        if self.doubly_even and self.n % 8:
             raise ConfigurationError(
-                f"self-dual Z4 codes of these families need n divisible by 8, got {self.n}"
+                f"free self-dual {self.ring.name} codes need n divisible by 8, got {self.n}"
             )
         if self.n > 64:
             raise ConfigurationError("lengths beyond 64 are unsupported")
@@ -84,6 +84,11 @@ class SearchConfig:
     @property
     def k(self) -> int:
         return self.n // 2
+
+    @property
+    def doubly_even(self) -> bool:
+        """Over Z_{2^m}, m >= 2, base codes must be doubly even, so 8 | n."""
+        return self.ring.p == 2 and self.ring.m >= 2
 
     @property
     def bordered(self) -> bool:
@@ -189,13 +194,13 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
     and a bordered core with border (beta, gamma, delta) must also satisfy
     1 + beta^2 + (k-1) gamma^2 = 0 and beta delta + gamma sum(core) = 0, with
     c_0 = -1 - delta^2 and c_j = -delta^2.  Only the survivors become specs;
-    Z4 targets additionally require the doubly-even property of the base.
+    targets over Z_{2^m}, m >= 2, additionally require a doubly-even base (a
+    free self-dual code over them reduces mod 4 to a free self-dual Z4 code).
     They are deduplicated by canonical form in candidate order (word, then
     border, both lexicographic).
     """
     ring = cfg.base_ring()
     alpha = cfg.alpha % ring.p
-    need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2
     if cfg.bordered:
         words = necklaces(cfg.k - 1, ring.p)
         borders = list(itertools.product(range(ring.p), repeat=3))
@@ -206,7 +211,7 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
         mask = self_dual_mask(ring, alpha, block, borders).reshape(len(block), -1)
         for i, b in zip(*mask.nonzero()):
             spec = CodeSpec(ring, alpha, block[i], None if borders is None else borders[b])
-            if need_doubly_even and not is_doubly_even(spec):
+            if cfg.doubly_even and not is_doubly_even(spec):
                 continue
             reps[canonical_form(spec) if borders is None else canonical_form_bordered(spec)] = None
     return list(reps)
@@ -214,8 +219,7 @@ def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
 
 def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
     bases = [(spec, min_hamming_distance(spec)) for spec in enumerate_base_codes(cfg)]
-    bases.sort(key=lambda item: (-item[1], item[0].a, item[0].border or ()))
-    return bases
+    return sorted(bases, key=lambda item: (-item[1], item[0].coords))
 
 
 def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
@@ -256,7 +260,7 @@ def run_search(cfg: SearchConfig) -> SearchResult:
             result.lifts_examined += 1
             # the sweep stops below `need`, so every value it records is exact
             need = result.best_d_lee + cfg.prune
-            val = min_lee_distance(lift, early_abort_at=need if result.best_d_lee else None)
+            val = min_lee_distance(lift, early_abort_at=need)
             if val >= need:
                 result.best_d_lee = val
                 result.all_records.append(

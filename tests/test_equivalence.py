@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 from alphacirc import (
@@ -17,6 +18,7 @@ from alphacirc import (
 )
 from alphacirc.equivalence import (
     _group,
+    _least_images,
     canonical_form_bordered,
     shift_right,
     substitute,
@@ -273,6 +275,57 @@ class TestGroupAgainstOracle:
                 best = CodeSpec(ring, alpha, *min(orbit, key=lambda st: st[0] + st[1]))
                 for w_core, w_border in orbit:
                     assert canonical_form_bordered(CodeSpec(ring, alpha, w_core, w_border)) == best
+
+
+class TestLeastImages:
+    """The one routine that applies group elements, against the minimum of
+    the breadth-first orbits."""
+
+    @pytest.mark.parametrize("bordered", [False, True], ids=["double", "bordered"])
+    @pytest.mark.parametrize(
+        "ring", [Z4, Z8, Z9, ChainRing(5, 2)], ids=["Z4", "Z8", "Z9", "Z25"]
+    )
+    def test_matches_orbit_minimum(self, ring, bordered):
+        # over Z25 the products reach 24^2, beyond uint8 before reduction
+        rng = random.Random(f"{ring.name}-{bordered}")
+
+        def residues(count):
+            return tuple(rng.randrange(ring.size) for _ in range(count))
+
+        for alpha in (1, ring.size - 1):
+            for k in range(1, 6):
+                specs = [CodeSpec(ring, alpha, residues(k), residues(3) if bordered else None)
+                         for _ in range(4)]
+                least = _least_images([spec.coords for spec in specs],
+                                      *_group(ring, k, alpha, bordered), ring.size)
+                assert least.dtype == np.uint8 and least.shape == (4, k + 3 * bordered)
+                for spec, row in zip(specs, least.tolist()):
+                    if bordered:
+                        orbit = {core + border for core, border in helpers.bordered_orbit(spec)}
+                    else:
+                        orbit = helpers.orbit(spec)
+                    assert tuple(row) == min(orbit), (alpha, spec)
+
+    def test_rejects_rings_beyond_a_byte(self):
+        # the least images are uint8 rows, so Z_289 would wrap silently
+        with pytest.raises(ChainRingError, match="256"):
+            canonical_form(CodeSpec(ChainRing(17, 2), 1, (288, 5, 3)))
+
+
+@st.composite
+def specs(draw):
+    ring = draw(st.sampled_from([Z2, F3, Z4, Z8, Z9]))
+    alpha = draw(st.sampled_from([u for u in range(ring.size) if ring.is_unit(u)]))
+    residue = st.integers(0, ring.size - 1)
+    a = tuple(draw(st.lists(residue, min_size=1, max_size=8)))
+    return CodeSpec(ring, alpha, a, draw(st.none() | st.tuples(residue, residue, residue)))
+
+
+@given(specs())
+def test_with_coords_round_trip(spec):
+    # the core, then the border, and back to a spec of the same shape
+    assert len(spec.coords) == len(spec.a) + 3 * (spec.border is not None)
+    assert spec.with_coords(spec.ring, spec.alpha, spec.coords) == spec
 
 
 class TestGroupIsLeeIsometric:

@@ -56,6 +56,15 @@ class TestSearchConfig:
         with pytest.raises(ConfigurationError):
             cfg(n=12)
 
+    @pytest.mark.parametrize("family", alphacirc.search.FAMILIES)
+    @pytest.mark.parametrize("n", [4, 12, 20])
+    def test_rejects_z8_length_not_multiple_of_8(self, n, family, capsys):
+        # a free self-dual Z8 code reduces mod 4 to a free self-dual Z4 code
+        with pytest.raises(ConfigurationError):
+            cfg(ring=ChainRing(2, 3), n=n, family=family)
+        assert main(["search", "--ring", "z8", "--length", str(n), "--family", family]) == 1
+        assert "divisible by 8" in capsys.readouterr().err
+
     def test_rejects_lengths_beyond_64(self):
         cfg(n=32)
         cfg(n=64)
@@ -126,7 +135,7 @@ class TestBaseEnumeration:
         "ring_name, n",
         [("z2", n) for n in (4, 6, 10, 16)]
         + [("z4", n) for n in (8, 16, 24, 32)]
-        + [("z8", n) for n in (4, 8, 16)]
+        + [("z8", n) for n in (8, 16)]
         + [("z9", n) for n in (4, 6, 12, 16)],
     )
     def test_matches_oracle(self, ring_name, n, family):
