@@ -10,7 +10,12 @@ imports and every cache the command builds.  A case is run `--runs` times;
 the report gives the median wall time of each command, the peak RSS of its
 processes, and the SHA-256 of its output files and stdout, which must be the
 same in every run.  With `--before`, the same cases also run on the other
-checkout, alternating with this one, and the report puts both side by side.
+checkout, alternating with this one, and the report puts both side by side
+and says per case whether the two checkouts' digests agree.
+
+The script exits 1 when a command exits non-zero in any run, or when a
+command's digest differs between runs of one checkout; it names each such
+failure on stderr.
 
 The report is written to `BENCH_<date>.json` at the root of the checkout
 (or `--out`), with the machine and each checkout's net src lines.
@@ -108,6 +113,19 @@ def summarize(runs: list[dict[str, dict]]) -> dict:
     return out
 
 
+def case_failures(case: str, entry: dict[str, dict]) -> list[str]:
+    """Each command of a case, per checkout, that exited non-zero in some run
+    or whose digest differs between runs."""
+    failures = []
+    for label, commands in entry.items():
+        for name, summary in commands.items():
+            if summary["exit"] != [0]:
+                failures.append(f"{case} {label} {name}: exit codes {summary['exit']}")
+            if len(summary["sha256"]) > 1:
+                failures.append(f"{case} {label} {name}: output differs between runs")
+    return failures
+
+
 def machine() -> dict:
     cpu = platform.processor() or "unknown"
     try:
@@ -140,18 +158,26 @@ def main(argv: list[str] | None = None) -> int:
         "src_lines": {label: src_lines(tree) for label, tree in trees.items()},
         "cases": {},
     }
+    failures = []
     for case in args.case or DEFAULT_CASES:
         runs = {label: [] for label in trees}
         for i in range(args.runs):
             # alternate the order so drift of the machine hits both trees alike
             for label in (list(trees) if i % 2 == 0 else list(reversed(trees))):
                 runs[label].append(run_case(trees[label], CASES[case]))
-        report["cases"][case] = {label: summarize(r) for label, r in runs.items()}
-        print(json.dumps({case: report["cases"][case]}), flush=True)
+        entry = {label: summarize(r) for label, r in runs.items()}
+        failures += case_failures(case, entry)
+        if args.before is not None:
+            entry["digests_agree"] = all(entry["before"][name]["sha256"] == summary["sha256"]
+                                         for name, summary in entry["after"].items())
+        report["cases"][case] = entry
+        print(json.dumps({case: entry}), flush=True)
     out = args.out or ROOT / f"BENCH_{report['date']}.json"
     out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {out}")
-    return 0
+    for failure in failures:
+        print(f"FAILED {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ oracle checks.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,29 +66,50 @@ class CodeSpec:
         return 2 * self.k
 
 
+@functools.cache
+def _layout(c: int, bordered: bool) -> np.ndarray:
+    """Where each entry of the generator matrix of a spec with a length-c
+    vector comes from (cached, read-only): G = ext[layout] with
+    ext = (0, 1, coords, alpha * coords mod |R|), the t = c + 3 bordered
+    coordinates of `CodeSpec.coords`.
+
+    The core's entry (i, j) is a_{j-i} for j >= i and alpha * a_{c+j-i}
+    below the diagonal; a border puts beta in the corner, gamma along the
+    top row and delta down the left column of the right half.
+    """
+    k, t = c + bordered, c + 3 * bordered
+    layout = np.zeros((k, 2 * k), dtype=np.intp)
+    layout.flat[:: 2 * k + 1] = 1  # the diagonal of I_k
+    if bordered:
+        layout[0, k], layout[0, k + 1:], layout[1:, k] = 2 + c, 3 + c, 4 + c
+    r = np.arange(c)
+    shift = r - r[:, None]  # j - i
+    layout[bordered:, k + bordered:] = np.where(shift >= 0, 2 + shift, 2 + t + c + shift)
+    layout.flags.writeable = False
+    return layout
+
+
+def _entries(coords, alpha: int, mod: int) -> np.ndarray:
+    """ext = (0, 1, coords, alpha * coords mod `mod`), the values `_layout` indexes."""
+    return np.array((0, 1, *coords, *(alpha * c % mod for c in coords)), dtype=np.int64)
+
+
 def cir(a: tuple[int, ...], alpha: int, mod: int) -> np.ndarray:
     """Explicit k x k alpha-circulant matrix generated by a, over Z_mod.
 
     Entry (i, j) is a_{j-i} for j >= i and alpha * a_{k+j-i} below the
-    diagonal, so row i is the length-k window of (alpha a | a) starting at
-    k - i.
+    diagonal: the right half of the double spec's generator matrix.
     """
-    v = np.array(a, dtype=np.int64)
-    r = np.arange(len(a))
-    return np.concatenate([alpha * v % mod, v])[len(a) + r - r[:, None]]
+    k = len(a)
+    return _entries(a, alpha, mod)[_layout(k, False)[:, k:]]
 
 
 def generator_matrix(spec: CodeSpec) -> np.ndarray:
-    """The k x 2k generator matrix (I_k | right half) of the spec.  Its
-    entries are the spec's, which are already reduced mod |R|."""
-    k = spec.k
-    G = np.zeros((k, 2 * k), dtype=np.int64)
-    G.flat[:: 2 * k + 1] = 1  # the diagonal of I_k
-    if spec.border is not None:
-        G[0, k], G[0, k + 1:], G[1:, k] = spec.border
-    core = k - len(spec.a)
-    G[core:, k + core:] = cir(spec.a, spec.alpha, spec.ring.size)
-    return G
+    """The k x 2k generator matrix (I_k | right half) of the spec, one gather
+    through `_layout`.  Its entries are the spec's, which are already
+    reduced mod |R|."""
+    ext = _entries(spec.coords, spec.alpha, spec.ring.size)
+    return ext[_layout(len(spec.a), spec.border is not None)]
 
 
 def gram_matrix(spec: CodeSpec) -> np.ndarray:

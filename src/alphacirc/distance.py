@@ -45,11 +45,15 @@ _BLOCK_ENTRIES = 2**17
 _Group = tuple[int, int | None]
 
 
+@functools.cache
 def lee_table(ring: ChainRing) -> np.ndarray:
-    """Lee weight per residue: min(v, |R| - v); for Z4 this is 0,1,2,1."""
+    """Lee weight per residue: min(v, |R| - v); for Z4 this is 0,1,2,1
+    (cached, read-only)."""
     mod = ring.size
     v = np.arange(mod)
-    return np.minimum(v, mod - v)
+    table = np.minimum(v, mod - v)
+    table.flags.writeable = False
+    return table
 
 
 @functools.cache
@@ -148,10 +152,12 @@ def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int | None) 
     k = G.shape[0]
     A = G[:, k:]
     sets = [A]  # per information set: its message times this is the other half
-    if np.array_equal(A @ A.T % mod, (mod - 1) * np.eye(k, dtype=A.dtype)):
+    square = A @ A.T
+    square.flat[:: k + 1] += 1  # A A^t + I = 0 mod |R| iff A A^t = -I
+    if not np.remainder(square, mod, out=square).any():
         sets.append(-A.T % mod)
     sets = np.asarray(sets, dtype=np.float64)  # exact: products stay far below 2^53
-    table = tuple(int(w) for w in wtable)
+    table = tuple(wtable.tolist())
     rows = _BLOCK_ENTRIES // k
     best = max(table) * 2 * k + 1
     for t in range(1, max(table) * k + 1):

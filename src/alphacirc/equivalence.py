@@ -115,17 +115,19 @@ def _group(ring: ChainRing, k: int, alpha: int, bordered: bool) -> tuple[np.ndar
     while frontier:
         frontier = {_compose(h, g, mod) for g in frontier for h in gens} - elements
         elements |= frontier
-    gather, mult = (np.array(column) for column in zip(*elements))
+    gather, mult = zip(*elements)
+    gather = np.array(gather)
+    # `_least_images` multiplies in this dtype, the narrowest that holds (mod - 1)^2
+    mult = np.array(mult, dtype=np.min_scalar_type((mod - 1) ** 2))
     gather.flags.writeable = mult.flags.writeable = False
     return gather, mult
 
 
 def _least_images(coords, gather: np.ndarray, mult: np.ndarray, size: int) -> np.ndarray:
     """The lexicographically least image of each row of `coords` under the
-    elements (gather, mult), as uint8 rows: products are taken in the
-    narrowest dtype that holds (size - 1)^2 and reduced, then compared as bytes."""
-    small = np.min_scalar_type((size - 1) ** 2)
-    images = mult.astype(small) * np.asarray(coords, dtype=small)[:, gather] % size
+    elements (gather, mult) of `_group`, as uint8 rows: products are taken in
+    the dtype of `mult` and reduced, then compared as bytes."""
+    images = mult * np.asarray(coords, dtype=mult.dtype)[:, gather] % size
     keys = images.astype(np.uint8, order="C", copy=False).view(f"S{images.shape[2]}")[..., 0]
     return np.sort(keys, axis=1)[:, :1].view(np.uint8)
 

@@ -9,11 +9,11 @@ linearizes to
 
 which is F_q-linear in the ideal parts u of the t coordinates of
 `CodeSpec.coords`, the vector and then the border (t = k for double specs,
-t = k + 2 for bordered ones).  By that linearity,
-column v of the system is the change in the upper Gram triangle when
-coordinate v of G_0 moves by theta^{m-1}, divided by theta^{m-1} and reduced
-mod theta; only `circulant.generator_matrix` knows where a coordinate sits in
-G.  The module solves the system M u = rhs itself, as the kernel of
+t = k + 2 for bordered ones).  Column v of the system is G_0 E_v^t +
+E_v G_0^t reduced mod theta, E_v = dG/dc_v read off the index layout
+`circulant._layout` that also builds G, taken only at the k or 2k - 1 Gram
+entries that fix the rest (`build_lift_system` says why that keeps the
+solutions).  The module solves the system M u = rhs itself, as the kernel of
 (M | -rhs) over F_q; its solutions, an affine subspace of F_q^t, are exactly
 the self-dual lifts.  Chaining the step through R/(theta^2), R/(theta^3), ...,
 R constructs all self-dual codes over R above a base-field code, and keeping
@@ -24,12 +24,12 @@ least-image routine, leaves one code per equivalence class.
 
 from __future__ import annotations
 
-import itertools
+import functools
 
 import numpy as np
 
 from .chainring import ChainRing, ChainRingError
-from .circulant import CodeSpec, gram_matrix
+from .circulant import CodeSpec, _layout, generator_matrix
 from .equivalence import _group, _least_images
 
 
@@ -50,34 +50,49 @@ def section_lift_spec(base: CodeSpec, ring: ChainRing, alpha: int) -> CodeSpec:
     return base.with_coords(ring, alpha, [alpha if c == base.alpha else c for c in base.coords])
 
 
-def build_lift_system(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The F_q system (matrix, rhs) of the section lift `spec0`, read off
-    Gram differences.
+@functools.cache
+def _slopes(c: int, bordered: bool, alpha: int) -> tuple[np.ndarray, np.ndarray]:
+    """The decisive Gram entries (r, j) of a spec with a length-c vector, one
+    row (r, j) each, and their slopes (E[j], E[r]), where E[:, :, v] = dG/dc_v
+    is 1 where `circulant._layout` puts c_v and alpha where it puts alpha c_v
+    (cached, read-only)."""
+    layout = _layout(c, bordered)
+    k, t = len(layout), c + 3 * bordered
+    rows, cols = (ix[: k + bordered * (k - 1)] for ix in np.triu_indices(k))
+    v, at = np.arange(t), layout[..., None]
+    E = (at == 2 + v) + alpha * (at == 2 + t + v)
+    entries, slopes = np.stack([rows, cols], axis=1), np.stack([E[cols], E[rows]], axis=1)
+    entries.flags.writeable = slopes.flags.writeable = False
+    return entries, slopes
 
-    One equation per Gram entry (i, j), i <= j, of G_0.  Column v is (Gram
-    of G_0 with coordinate v raised by theta^{m-1}) minus (Gram of G_0),
-    divided by theta^{m-1} and reduced mod theta; the rhs is minus
-    Gram(G_0) / theta^{m-1}.  Duplicate equations are left to row reduction.
+
+def build_lift_system(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The F_q system (matrix, rhs) of the section lift `spec0`, read off the
+    Gram rows that decide it.
+
+    With alpha^2 = 1 the Gram matrix of a double spec is alpha-circulant, so
+    its upper triangle repeats row 0; for a bordered spec, rows 0 and 1 hold
+    every distinct upper entry (row 0 is the border's, and the rest is delta^2
+    plus an alpha-circulant core Gram).  That holds for every lift, so the
+    other equations of the upper triangle are copies of these k (double) or
+    2k - 1 (bordered) ones: the row space, hence the reduced echelon form and
+    the solutions in their order, is the same.  Since theta^{2(m-1)} = 0,
+    raising c_v by theta^{m-1} moves the Gram matrix by theta^{m-1}
+    (G_0 E_v^t + E_v G_0^t), E_v = dG/dc_v, so column v is that mod p at
+    those entries, and the rhs is minus Gram(G_0) / theta^{m-1}.
     """
     ring = spec0.ring
-    mod, p = ring.size, ring.p
-    ideal_gen = p ** (ring.m - 1)
-    upper = np.triu_indices(spec0.k)
-    gram0 = gram_matrix(spec0)[upper]
+    p, ideal_gen = ring.p, ring.p ** (ring.m - 1)
+    entries, slopes = _slopes(len(spec0.a), spec0.border is not None, spec0.alpha)
+    G0 = generator_matrix(spec0)[entries]  # rows r and j of G_0 per entry (r, j)
+    gram0 = (G0[:, 0] * G0[:, 1]).sum(axis=1) % ring.size
     outside = np.flatnonzero(gram0 % ideal_gen)
     if outside.size:
-        e = outside[0]
-        raise BaseNotSelfDual(
-            f"Gram entry ({upper[0][e]},{upper[1][e]}) = {gram0[e]} is not in the minimal ideal"
-        )
-    columns = []
-    for v in range(len(spec0.coords)):
-        coords = list(spec0.coords)
-        coords[v] = (coords[v] + ideal_gen) % mod
-        gram_v = gram_matrix(spec0.with_coords(ring, spec0.alpha, coords))[upper]
-        # both Grams lie in I, so the difference divides exactly
-        columns.append((gram_v - gram0) // ideal_gen % p)
-    return np.stack(columns, axis=1), -(gram0 // ideal_gen) % p
+        (r, j), e = entries[outside[0]], outside[0]
+        raise BaseNotSelfDual(f"Gram entry ({r},{j}) = {gram0[e]} is not in the minimal ideal")
+    # G_0[r] . E_v[j] + G_0[j] . E_v[r] for every entry (r, j) and coordinate v
+    matrix = np.einsum("ebs,ebsv->ev", G0, slopes) % p
+    return matrix, -(gram0 // ideal_gen) % p
 
 
 def solve_lift_system(matrix: np.ndarray, rhs: np.ndarray, q: int) -> np.ndarray:
@@ -107,7 +122,8 @@ def solve_lift_system(matrix: np.ndarray, rhs: np.ndarray, q: int) -> np.ndarray
     kernel[np.arange(len(free)), free] = 1
     kernel[:, pivots] = -R[: len(pivots), free].T % q
     particular, basis = kernel[-1, :-1], kernel[:-1, :-1]
-    digits = np.array(list(itertools.product(range(q), repeat=len(basis))), dtype=np.int64)
+    # row i holds the base-q digits of i, most significant first: itertools.product order
+    digits = np.arange(q ** len(basis))[:, None] // q ** np.arange(len(basis))[::-1] % q
     return (particular + digits @ basis) % q
 
 

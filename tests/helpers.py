@@ -12,6 +12,7 @@ from math import gcd
 import numpy as np
 
 from alphacirc import (
+    BaseNotSelfDual,
     ChainRing,
     CodeSpec,
     SearchConfig,
@@ -20,6 +21,7 @@ from alphacirc import (
     is_doubly_even,
     is_self_dual,
 )
+from alphacirc.circulant import gram_matrix
 from alphacirc.equivalence import (
     canonical_form,
     canonical_form_bordered,
@@ -153,6 +155,33 @@ def brute_force_lift_vectors(base: CodeSpec, ring: ChainRing, alpha: int) -> set
         if is_self_dual(cand):
             found.add((a, border))
     return found
+
+
+def lift_system_oracle(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The lift system of the section lift `spec0` from the whole upper Gram
+    triangle: one equation per entry (i, j), i <= j.  Column v is (Gram of
+    G_0 with coordinate v raised by theta^{m-1}) minus (Gram of G_0),
+    divided by theta^{m-1} and reduced mod theta; the rhs is minus
+    Gram(G_0) / theta^{m-1}.  Duplicate equations are left to row reduction."""
+    ring = spec0.ring
+    mod, p = ring.size, ring.p
+    ideal_gen = p ** (ring.m - 1)
+    upper = np.triu_indices(spec0.k)
+    gram0 = gram_matrix(spec0)[upper]
+    outside = np.flatnonzero(gram0 % ideal_gen)
+    if outside.size:
+        e = outside[0]
+        raise BaseNotSelfDual(
+            f"Gram entry ({upper[0][e]},{upper[1][e]}) = {gram0[e]} is not in the minimal ideal"
+        )
+    columns = []
+    for v in range(len(spec0.coords)):
+        coords = list(spec0.coords)
+        coords[v] = (coords[v] + ideal_gen) % mod
+        gram_v = gram_matrix(spec0.with_coords(ring, spec0.alpha, coords))[upper]
+        # both Grams lie in I, so the difference divides exactly
+        columns.append((gram_v - gram0) // ideal_gen % p)
+    return np.stack(columns, axis=1), -(gram0 // ideal_gen) % p
 
 
 def brute_force_preimages(base: CodeSpec, ring: ChainRing, alpha: int) -> set[tuple]:

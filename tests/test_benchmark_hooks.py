@@ -2,6 +2,7 @@
 arguments and results; each must exist and keep the shape the tracer reads."""
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -39,6 +40,37 @@ def test_benchmark_command_lines_parse(monkeypatch, tmp_path):
     parser = alphacirc.cli._build_parser()
     for argv in argvs:
         assert parser.parse_args(argv).command == argv[0]
+
+
+@pytest.mark.parametrize(
+    "outcomes, code, agree",
+    [
+        ({"before": [(0, "x"), (0, "x")], "after": [(0, "x"), (0, "x")]}, 0, True),
+        ({"before": [(0, "x"), (0, "x")], "after": [(0, "y"), (0, "y")]}, 0, False),
+        ({"before": [(0, "x"), (0, "x")], "after": [(0, "x"), (2, "x")]}, 1, True),
+        ({"before": [(0, "x"), (0, "y")], "after": [(0, "x"), (0, "x")]}, 1, False),
+    ],
+    ids=["same", "checkouts-differ", "failed-command", "runs-differ"],
+)
+def test_frontier_exit_and_agreement(monkeypatch, tmp_path, outcomes, code, agree):
+    # exit 1 on a failed command or on a digest that changes between runs of
+    # one checkout; a difference between the checkouts is only reported
+    frontier = _import_script(monkeypatch, "bench", "frontier")
+    before = tmp_path / "before"
+    trees = {frontier.ROOT: iter(outcomes["after"]), before.resolve(): iter(outcomes["before"])}
+
+    def fake_run(checkout, argv, workdir):
+        exit_code, digest = next(trees[checkout])
+        return {"wall_s": 0.0, "peak_rss_mb": 0.0, "exit": exit_code, "sha256": digest,
+                "stdout_head": []}
+
+    monkeypatch.setattr(frontier, "run_command", fake_run)
+    out = tmp_path / "report.json"
+    argv = ["--runs", "2", "--case", "z4-n40-double-nega-certificate", "--before", str(before),
+            "--out", str(out)]
+    assert frontier.main(argv) == code
+    report = json.loads(out.read_text())
+    assert report["cases"]["z4-n40-double-nega-certificate"]["digests_agree"] is agree
 
 
 def test_tracer_targets_resolve(tracer):

@@ -126,11 +126,12 @@ class TestGeneratorMatrix:
     def test_matches_dense_oracle(self, name, bordered):
         # (I | right) written entry by entry: the corner, top row and left
         # column of the border, then a_{j-i} on and above the core's
-        # diagonal and alpha a_{k+j-i} below it, all mod |R|
+        # diagonal and alpha a_{k+j-i} below it, all mod |R|; every unit
+        # alpha and core lengths 1 to 6, in both shapes
         ring, rng = ChainRing.from_name(name), random.Random(11)
-        alphas = [1] if bordered else [u for u in range(ring.size) if ring.is_unit(u)]
-        for alpha, k in itertools.product(alphas, range(2, 8)):
-            core = k - bordered
+        alphas = [u for u in range(ring.size) if ring.is_unit(u)]
+        for alpha, core in itertools.product(alphas, range(1, 7)):
+            k = core + bordered
             a = rand_vec(ring, core, rng)
             border = rand_vec(ring, 3, rng) if bordered else None
             dense = [[int(i == j) for j in range(k)] + [0] * k for i in range(k)]

@@ -45,6 +45,8 @@ def rand_spec(rng, kmax=4):
 class TestWeights:
     def test_lee_table_z4(self):
         assert lee_table(Z4).tolist() == [0, 1, 2, 1]
+        # one cached table per ring, which no caller can change
+        assert lee_table(Z4) is lee_table(ChainRing(2, 2)) and not lee_table(Z4).flags.writeable
 
     def test_lee_table_z9(self):
         assert lee_table(Z9).tolist() == [0, 1, 2, 3, 4, 4, 3, 2, 1]

@@ -296,8 +296,11 @@ class TestLeastImages:
             for k in range(1, 6):
                 specs = [CodeSpec(ring, alpha, residues(k), residues(3) if bordered else None)
                          for _ in range(4)]
-                least = _least_images([spec.coords for spec in specs],
-                                      *_group(ring, k, alpha, bordered), ring.size)
+                gather, mult = _group(ring, k, alpha, bordered)
+                # the group keeps its multipliers in the product dtype, read-only
+                assert mult.dtype == np.min_scalar_type((ring.size - 1) ** 2)
+                assert not mult.flags.writeable
+                least = _least_images([spec.coords for spec in specs], gather, mult, ring.size)
                 assert least.dtype == np.uint8 and least.shape == (4, k + 3 * bordered)
                 for spec, row in zip(specs, least.tolist()):
                     if bordered:

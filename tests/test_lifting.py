@@ -15,6 +15,7 @@ from alphacirc import (
     nested_lift,
     self_dual_lifts,
 )
+from alphacirc import lifting
 from alphacirc.lifting import build_lift_system, section_lift_spec, solve_lift_system
 from alphacirc.search import enumerate_base_codes
 
@@ -133,6 +134,121 @@ class TestLiftSystem:
                 n = len(sols)
                 assert n & (n - 1) == 0  # zero or a power of two
                 assert len(set(map(tuple, sols.tolist()))) == n
+
+
+def solutions_or_error(system, spec0):
+    """The solution rows of system(spec0), or the BaseNotSelfDual message."""
+    try:
+        return solve_lift_system(*system(spec0), spec0.ring.p)
+    except BaseNotSelfDual as err:
+        return str(err)
+
+
+def assert_matches_oracle(spec0):
+    # the k (or 2k - 1) decisive equations and the whole upper triangle
+    # have the same solutions in the same order, or both reject the base
+    got = solutions_or_error(build_lift_system, spec0)
+    expected = solutions_or_error(helpers.lift_system_oracle, spec0)
+    if isinstance(expected, str):
+        assert got == expected, spec0
+    else:
+        assert isinstance(got, np.ndarray) and got.dtype == expected.dtype, spec0
+        assert np.array_equal(got, expected), spec0
+
+
+class TestLiftSystemOracle:
+    @pytest.mark.parametrize("family", ["double-nega", "bordered-circ", "double-circ"])
+    @pytest.mark.parametrize(
+        "ring, lengths",
+        [("z4", (8, 16, 24, 32)), ("z8", (8, 16)), ("z9", range(4, 21, 2))],
+        ids=["z4", "z8", "z9"],
+    )
+    def test_every_search_parent(self, ring, lengths, family, monkeypatch):
+        # every section lift that nested_lift solves on the way from each
+        # search base, at both levels of Z8
+        seen = []
+
+        def checked(spec0):
+            assert_matches_oracle(spec0)
+            seen.append(spec0)
+            return build_lift_system(spec0)
+
+        monkeypatch.setattr(lifting, "build_lift_system", checked)
+        for n in lengths:
+            cfg = SearchConfig(ring=ChainRing.from_name(ring), n=n, family=family)
+            for base in enumerate_base_codes(cfg):
+                list(nested_lift(base, cfg.ring, cfg.alpha))
+        # no double-circ base over Z9 up to n = 20 is self-dual, and no
+        # double-circ lift over Z4 of the Z8 bases is
+        assert seen or (ring, family) == ("z9", "double-circ")
+        if ring == "z8" and family != "double-circ":
+            assert {spec0.ring for spec0 in seen} == {Z4, Z8}
+
+    @pytest.mark.parametrize("bordered", [False, True], ids=["double", "bordered"])
+    @pytest.mark.parametrize("target", [Z4, Z8, Z9], ids=["Z4", "Z8", "Z9"])
+    def test_random_specs(self, target, bordered):
+        # random bases (rarely self-dual, so mostly rejected by both) and
+        # every self-dual base of small k and its self-dual lifts, under
+        # every square root of one (alpha = -1 breaks an alpha = 1 reading
+        # of bordered Grams; Z8 also has 3 and 5)
+        rng = random.Random(f"{target.name}-{bordered}")
+        base_ring, p = target.quotient(1), target.p
+        rejected = solved = 0
+        for alpha in (x for x in range(target.size) if x * x % target.size == 1):
+            base_alpha = alpha % base_ring.size
+            bases = []
+            for k in range(2, 9):
+                core = k - bordered
+                for _ in range(40):
+                    a = tuple(rng.randrange(base_ring.size) for _ in range(core))
+                    border = tuple(rng.randrange(base_ring.size) for _ in range(3))
+                    bases.append(CodeSpec(base_ring, base_alpha, a, border if bordered else None))
+            if base_ring.m == 1:
+                for k in range(2, 6):
+                    if bordered:
+                        pairs = helpers.self_dual_bordered_bases(k, p, base_alpha)
+                        bases += [CodeSpec(base_ring, base_alpha, c, b) for c, b in pairs]
+                    else:
+                        words = helpers.self_dual_double_bases(k, p, base_alpha)
+                        bases += [CodeSpec(base_ring, base_alpha, a) for a in words]
+            else:  # self-dual bases over Z4: the lifts of those over F2
+                F2 = base_ring.quotient(1)
+                for k in range(2, 6):
+                    if bordered:
+                        pairs = helpers.self_dual_bordered_bases(k, p, 1)
+                        roots = [CodeSpec(F2, 1, c, b) for c, b in pairs]
+                    else:
+                        roots = [CodeSpec(F2, 1, a) for a in helpers.self_dual_double_bases(k, p)]
+                    for root in roots:
+                        bases += self_dual_lifts(root, base_ring, base_alpha)
+            for base in bases:
+                spec0 = section_lift_spec(base, target, alpha)
+                assert_matches_oracle(spec0)
+                if is_self_dual(base):
+                    solved += 1
+                else:
+                    rejected += 1
+        assert solved and rejected
+
+    def test_equation_count(self):
+        # k equations for a double spec, 2k - 1 for a bordered one; one
+        # column per coordinate
+        shapes = set()
+        for target, alpha in ((Z4, 3), (Z4, 1), (Z9, 8), (Z9, 1)):
+            p, base_alpha = target.p, alpha % target.p
+            base_ring = target.quotient(1)
+            for k in range(2, 8):
+                bases = [CodeSpec(base_ring, base_alpha, a)
+                         for a in helpers.self_dual_double_bases(k, p, base_alpha)]
+                bases += [CodeSpec(base_ring, base_alpha, c, b)
+                          for c, b in helpers.self_dual_bordered_bases(k, p, base_alpha)]
+                for base in bases:
+                    matrix, rhs = build_lift_system(section_lift_spec(base, target, alpha))
+                    bordered = base.border is not None
+                    assert matrix.shape == (2 * k - 1 if bordered else k, len(base.coords))
+                    assert rhs.shape == (matrix.shape[0],)
+                    shapes.add((bordered, k))
+        assert shapes == {(bordered, k) for bordered in (False, True) for k in range(2, 8)}
 
 
 class TestSection:

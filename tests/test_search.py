@@ -442,6 +442,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         # 256 lifts from an 8-dimensional F_2 kernel; a bordered lift over F_3
         ("z4", 24, "bordered-circ"),
         ("z9", 12, "bordered-circ"),
+        # k = 16 lift systems: 128 and 512 lifts of an F_2 base
+        ("z4", 32, "double-nega"),
+        ("z4", 32, "bordered-circ"),
     ],
 )
 def test_golden_results_file(ring, n, family, tmp_path):
