@@ -25,7 +25,7 @@ from .search import (
     SearchConfig,
     SearchRecord,
     family_spec,
-    record_lines,
+    read_results,
     run_search,
     verify_record,
 )
@@ -91,7 +91,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    lines = record_lines(args.infile)
+    lines, _ = read_results(args.infile)
     bad = 0
     for number, line in lines:
         try:

@@ -147,7 +147,7 @@ def _automorphisms(spec: CodeSpec) -> _Group:
     return (0, spec.alpha) if spec.alpha in (1, mod - 1) else (0, None)
 
 
-def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int | None) -> int:
+def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int = 0) -> int:
     G, mod, group = generator_matrix(spec), spec.ring.size, _automorphisms(spec)
     k = G.shape[0]
     A = G[:, k:]
@@ -168,23 +168,23 @@ def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int | None) 
                 block_min = t + int(wtable[other].sum(axis=1).min())
                 if block_min < best:
                     best = block_min
-                    if early_abort_at is not None and best < early_abort_at:
+                    if best < early_abort_at:
                         return best
             if best <= len(sets) * t + i + 1:
                 return best
     return best
 
 
-def min_lee_distance(spec: CodeSpec, early_abort_at: int | None = None) -> int:
-    """Exact minimum Lee weight of the code, or a witness weight below the
-    abort threshold if one is found first."""
+def min_lee_distance(spec: CodeSpec, early_abort_at: int = 0) -> int:
+    """Exact minimum Lee weight of the code, or a witness weight below
+    `early_abort_at` if one is found first; the default 0 asks for the exact value."""
     return _min_weight(spec, lee_table(spec.ring), early_abort_at)
 
 
 def min_hamming_distance(spec: CodeSpec) -> int:
     """Exact minimum Hamming weight of the code."""
     wtable = (np.arange(spec.ring.size) != 0).astype(np.int64)
-    return _min_weight(spec, wtable, None)
+    return _min_weight(spec, wtable)
 
 
 def is_doubly_even(spec: CodeSpec) -> bool:

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .chainring import ChainRing
+from .chainring import ChainRing, ChainRingError
 from .circulant import CodeSpec, format_vector, is_self_dual, parse_vector, self_dual_mask
 from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
 from .equivalence import canonical_form, canonical_form_bordered, necklaces
@@ -80,6 +80,11 @@ class SearchConfig:
             )
         if self.n > 64:
             raise ConfigurationError("lengths beyond 64 are unsupported")
+        if self.out is not None or self.checkpoint is not None:
+            try:  # a results file names its ring, and verify and resume read the name back
+                ChainRing.from_name(self.ring.name)
+            except ChainRingError as exc:
+                raise ConfigurationError(f"a results file cannot name this ring: {exc}") from None
 
     @property
     def k(self) -> int:
@@ -132,8 +137,8 @@ class SearchRecord:
     @classmethod
     def from_line(cls, line: str) -> "SearchRecord":
         try:
-            family, ring_name, n, *fields = line.split()
-            kv = dict(f.split("=", 1) for f in fields)
+            family, ring_name, n, *pairs = line.split()
+            kv = dict(pair.split("=", 1) for pair in pairs)
             border = None if kv["border"] == "-" else parse_vector(kv["border"])
             return cls(
                 family=family,
@@ -222,23 +227,29 @@ def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
     return sorted(bases, key=lambda item: (-item[1], item[0].coords))
 
 
+def read_results(path: str) -> tuple[list[tuple[int, str]], str | None]:
+    """The record lines of a results file, numbered from 1 as in the file (blank
+    and `#` lines skipped), and its summary: the last line if it starts with `#`."""
+    with open(path, encoding="utf-8") as fh:
+        lines = list(map(str.strip, fh))
+    records = [(i, line) for i, line in enumerate(lines, 1) if line and not line.startswith("#")]
+    return records, lines[-1] if lines and lines[-1].startswith("#") else None
+
+
 def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
     """The state saved for this search, or a fresh one when there is none or
     it is not a results file this search could have written."""
     if cfg.checkpoint is None:
         return SearchResult()
     try:
-        with open(cfg.checkpoint, encoding="utf-8") as fh:
-            *lines, summary = fh.read().splitlines()
+        lines, summary = read_results(cfg.checkpoint)
         prefix = f"# {cfg.fingerprint()} "
-        if not summary.startswith(prefix):
+        if summary is None or not summary.startswith(prefix):
             return SearchResult()
         counts = dict(f.split("=", 1) for f in summary[len(prefix):].split())
         result = SearchResult(
-            best_d_lee=int(counts["best_d_lee"]),
-            all_records=[SearchRecord.from_line(line) for line in lines],
-            bases_examined=int(counts["bases_examined"]),
-            lifts_examined=int(counts["lifts_examined"]),
+            all_records=[SearchRecord.from_line(line) for _, line in lines],
+            **{f.name: int(counts[f.name]) for f in fields(SearchResult) if f.type == "int"},
         )
     except (OSError, KeyError, ValueError):
         return SearchResult()
@@ -289,25 +300,17 @@ def run_search(cfg: SearchConfig) -> SearchResult:
 
 
 def write_records(path: str, cfg: SearchConfig, result: SearchResult) -> None:
-    """Write the results file: one line per record, then the summary line
-    `# <fingerprint> best_d_lee=.. witnesses=.. bases_examined=.. lifts_examined=..`.
+    """Write the results file: one line per record, then `# <fingerprint>` and
+    `name=value` per int field of the result, with `witnesses=` after the first.
     The lines are built before anything is opened and replace the file through
     a temporary one, so a failure mid-write leaves the previous file."""
+    counts = [f"{f.name}={getattr(result, f.name)}" for f in fields(result) if f.type == "int"]
+    counts.insert(1, f"witnesses={len(result.records)}")
     lines = [rec.to_line() + "\n" for rec in result.all_records]
-    lines.append(f"# {cfg.fingerprint()} best_d_lee={result.best_d_lee}"
-                 f" witnesses={len(result.records)} bases_examined={result.bases_examined}"
-                 f" lifts_examined={result.lifts_examined}\n")
+    lines.append(f"# {cfg.fingerprint()} {' '.join(counts)}\n")
     with open(path + ".tmp", "w", encoding="utf-8") as fh:
         fh.write("".join(lines))
     os.replace(path + ".tmp", path)
-
-
-def record_lines(path: str) -> list[tuple[int, str]]:
-    """The record lines of a results file, each with its line number in the
-    file (from 1): every line but blank and `#` ones."""
-    with open(path, encoding="utf-8") as fh:
-        lines = enumerate(map(str.strip, fh), 1)
-        return [(i, line) for i, line in lines if line and not line.startswith("#")]
 
 
 def verify_record(rec: SearchRecord) -> bool:
@@ -317,7 +320,7 @@ def verify_record(rec: SearchRecord) -> bool:
     try:
         lifted = rec.lift_spec()
         base = rec.base_spec()
-    except (ValueError, KeyError):
+    except ValueError:
         return False
     if lifted.n != rec.n or not is_self_dual(lifted):
         return False

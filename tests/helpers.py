@@ -25,7 +25,6 @@ from alphacirc.circulant import gram_matrix
 from alphacirc.equivalence import (
     canonical_form,
     canonical_form_bordered,
-    necklaces,
     shift_right,
     substitute,
 )
@@ -296,20 +295,26 @@ def self_dual_bordered_bases(k: int, p: int = 2, alpha: int = 1) -> list[tuple]:
 
 def enumerate_base_codes_oracle(cfg: SearchConfig) -> list[CodeSpec]:
     """`enumerate_base_codes` one candidate at a time: a spec and a dense
-    Gram matrix (`is_self_dual`) for every necklace crossed with every border,
-    or for every word when alpha != 1 and rotation is not in the group.  The
-    first candidate of each orbit in lexicographic order is its least word,
-    so the representatives come in the order of the fast walk."""
+    Gram matrix (`is_self_dual`) for every least rotation, found by brute
+    force, crossed with every border, or for every word when alpha != 1 and
+    rotation is not in the group.  The first candidate of each orbit in
+    lexicographic order is its least word, so the representatives come in
+    the order of the fast walk."""
     ring = cfg.base_ring()
     alpha = cfg.alpha % ring.p
     need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2
+
+    def least_rotations(k: int) -> list[tuple[int, ...]]:
+        return [w for w in itertools.product(range(ring.p), repeat=k)
+                if w == min(w[i:] + w[:i] for i in range(k))]
+
     if cfg.bordered:
         borders = itertools.product(range(ring.p), repeat=3)
-        candidates = itertools.product(necklaces(cfg.k - 1, ring.p), borders)
+        candidates = itertools.product(least_rotations(cfg.k - 1), borders)
     elif alpha != 1:
         candidates = itertools.product(itertools.product(range(ring.p), repeat=cfg.k), [None])
     else:
-        candidates = itertools.product(necklaces(cfg.k, ring.p), [None])
+        candidates = itertools.product(least_rotations(cfg.k), [None])
     reps: dict[CodeSpec, None] = {}  # an insertion-ordered set
     for a, border in candidates:
         spec = CodeSpec(ring, alpha, a, border)

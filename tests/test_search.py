@@ -25,7 +25,7 @@ from alphacirc import (
 )
 from alphacirc.cli import main
 from alphacirc.lifting import nested_lift
-from alphacirc.search import record_lines, write_records
+from alphacirc.search import read_results, write_records
 
 Z4 = ChainRing(2, 2)
 
@@ -74,6 +74,22 @@ class TestSearchConfig:
     def test_rejects_bad_family(self):
         with pytest.raises(ConfigurationError):
             cfg(family="triple-circ")
+
+    @pytest.mark.parametrize("ring", [ChainRing(3, 1), ChainRing(5, 1), ChainRing(3, 3)])
+    @pytest.mark.parametrize("path", ["out", "checkpoint"])
+    def test_results_file_needs_a_named_ring(self, ring, path, tmp_path):
+        # a results file names its ring, and verify and resume read the name
+        # back with ChainRing.from_name: a search over a ring it does not know
+        # would write records that every verify fails
+        target = tmp_path / "records.txt"
+        with pytest.raises(ConfigurationError, match=ring.name):
+            cfg(ring=ring, n=12, **{path: str(target)})
+        assert not target.exists()
+
+    @pytest.mark.parametrize("ring, best", [(ChainRing(3, 1), 6), (ChainRing(5, 1), 8),
+                                            (ChainRing(3, 3), 20)])
+    def test_in_memory_search_over_any_ring(self, ring, best):
+        assert run_search(cfg(ring=ring, n=12)).best_d_lee == best
 
 
 class TestBaseEnumeration:
@@ -185,8 +201,10 @@ class TestRunSearch:
             f"# family=double-nega ring=z4 n=8 prune=1 best_d_lee=6 witnesses={len(result.records)}"
             f" bases_examined={result.bases_examined} lifts_examined={result.lifts_examined}"
         )
-        records = [SearchRecord.from_line(line) for _, line in record_lines(str(out))]
-        assert records == result.all_records
+        records, summary = read_results(str(out))
+        assert [SearchRecord.from_line(line) for _, line in records] == result.all_records
+        assert [number for number, _ in records] == list(range(1, len(lines)))
+        assert summary == lines[-1]
 
     def test_results_file_survives_failed_write(self, tmp_path, monkeypatch):
         out = tmp_path / "records.txt"
@@ -278,12 +296,12 @@ class TestRunSearch:
         config = cfg(ring=ChainRing.from_name(ring), n=n, family=family, prune=False)
         aborted, exact = [], []
 
-        def aborting(spec, early_abort_at=None):
+        def aborting(spec, early_abort_at=0):
             val = min_lee_distance(spec, early_abort_at=early_abort_at)
-            aborted.append(early_abort_at is not None and val < early_abort_at)
+            aborted.append(val < early_abort_at)
             return val
 
-        def exhaustive(spec, early_abort_at=None):
+        def exhaustive(spec, early_abort_at=0):
             exact.append(min_lee_distance(spec))
             return exact[-1]
 
@@ -379,6 +397,27 @@ class TestRunSearch:
             resumed = dataclasses.replace(config, checkpoint=str(ck), out=str(tmp_path / "new.txt"))
             assert run_search(resumed) == fresh
             assert (tmp_path / "new.txt").read_bytes() == out.read_bytes() == ck.read_bytes()
+
+    def test_checkpoint_skips_blank_and_comment_lines(self, tmp_path, monkeypatch):
+        # resume reads a checkpoint the way verify does: blank and `#` lines
+        # between the records are not records
+        def interrupt_after_first_base(*args):
+            write_records(*args)
+            raise KeyboardInterrupt
+
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        config = cfg(n=16, checkpoint=str(ck), prune=False)
+        monkeypatch.setattr(alphacirc.search, "write_records", interrupt_after_first_base)
+        with pytest.raises(KeyboardInterrupt):
+            run_search(config)
+        monkeypatch.undo()
+        first, *rest = ck.read_text().splitlines()
+        assert rest[:-1]  # a second record for the blank line to sit before
+        ck.write_text("\n".join(["# a comment", "", first, "  ", "#", *rest]) + "\n")
+        assert alphacirc.search._read_checkpoint(config).bases_examined == 1
+        fresh = run_search(cfg(n=16, prune=False, out=str(out)))
+        assert run_search(config) == fresh
+        assert ck.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize(
         "text",
@@ -557,6 +596,66 @@ class TestCli:
         assert "FAIL line 1" in captured.err and "FAIL line 2" not in captured.err
         assert "checked 2 records, 1 failures" in captured.out
 
+    def test_verify_fails_a_base_the_lift_does_not_reduce_to(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # one F_3 digit of line 2's base changed: its lift still reduces to the
+        # old base, so line 2 fails at the projection, before its d_Lee is
+        # computed (the changed base also has another d_Ham, which the
+        # distance checks would catch too)
+        records = tmp_path / "records.txt"
+        golden = (GOLDEN / "z9-n12-double-nega.txt").read_text(encoding="utf-8")
+        records.write_text(golden.replace("base=0,1,1,1,2,1 lift=0,7", "base=2,1,1,1,2,1 lift=0,7"))
+        lee_calls = []
+
+        def counted(spec, early_abort_at=0):
+            lee_calls.append(spec)
+            return min_lee_distance(spec, early_abort_at)
+
+        monkeypatch.setattr(alphacirc.search, "min_lee_distance", counted)
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("FAIL") == 1
+        assert "FAIL line 2: double-nega z9 12 base=2,1,1,1,2,1 lift=0,7," in captured.err
+        assert captured.out == "checked 2 records, 1 failures\n"
+        assert len(lee_calls) == 1  # line 1's
+
+    def test_verify_fails_a_wrong_base_hamming_distance(self, tmp_path, capsys):
+        # line 1 claims d_Ham 5 for a base of d_Ham 6; its lift, projection
+        # and d_Lee all hold
+        records = tmp_path / "records.txt"
+        golden = (GOLDEN / "z9-n12-double-nega.txt").read_text(encoding="utf-8")
+        records.write_text(golden.replace("d_lee=9 d_ham_base=6", "d_lee=9 d_ham_base=5"))
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("FAIL") == 1 and "FAIL line 1:" in captured.err
+        assert captured.out == "checked 2 records, 1 failures\n"
+
+    def test_interrupted_search_exits_2_and_resumes(self, tmp_path, capsys, monkeypatch):
+        # Ctrl-C in the second base's lifts: exit code 2 with the checkpoint
+        # of the first base, from which a rerun ends like a fresh search
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        argv = ["search", "--ring", "z4", "--length", "16", "--family", "double-nega",
+                "--no-prune"]
+        calls = []
+
+        def interrupt_second_base(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return nested_lift(*args)
+
+        monkeypatch.setattr(alphacirc.search, "nested_lift", interrupt_second_base)
+        assert main(argv + ["--checkpoint", str(ck)]) == 2
+        assert "interrupted" in capsys.readouterr().err
+        monkeypatch.undo()
+        config = cfg(n=16, checkpoint=str(ck), prune=False)
+        assert alphacirc.search._read_checkpoint(config).bases_examined == 1
+        assert main(argv + ["--checkpoint", str(ck)]) == 0
+        resumed = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        assert resumed == capsys.readouterr().out
+        assert ck.read_bytes() == out.read_bytes()
+
     def test_distance(self, capsys):
         code = main([
             "distance", "--ring", "z4", "--family", "double-nega",
@@ -587,6 +686,14 @@ class TestCli:
         ])
         assert code == 1
         assert "border" in capsys.readouterr().err
+
+    def test_distance_rejects_a_coordinate_outside_the_ring(self, capsys):
+        code = main([
+            "distance", "--ring", "z4", "--family", "double-nega",
+            "--vector", "1,5,0,0",
+        ])
+        assert code == 1
+        assert "5 is not a residue in [0, 4)" in capsys.readouterr().err
 
     def test_canon(self, capsys):
         code = main([
