@@ -115,51 +115,41 @@ class SearchConfig:
 
 @dataclass
 class SearchRecord:
-    """One evaluated self-dual lift; serializes to a single results line."""
+    """One evaluated self-dual lift and its base code; serializes to a single
+    results line."""
 
     family: str
-    ring_name: str
-    n: int
-    base: tuple[int, ...]
-    lift: tuple[int, ...]
-    border: tuple[int, int, int] | None
+    base: CodeSpec
+    lift: CodeSpec
     d_lee: int
     d_ham_base: int
 
     def to_line(self) -> str:
-        border = format_vector(self.border) if self.border is not None else "-"
+        lift = self.lift
+        border = format_vector(lift.border) if lift.border is not None else "-"
         return (
-            f"{self.family} {self.ring_name} {self.n}"
-            f" base={format_vector(self.base)} lift={format_vector(self.lift)}"
+            f"{self.family} {lift.ring.name} {lift.n}"
+            f" base={format_vector(self.base.a)} lift={format_vector(lift.a)}"
             f" border={border} d_lee={self.d_lee} d_ham_base={self.d_ham_base}"
         )
 
     @classmethod
     def from_line(cls, line: str) -> "SearchRecord":
+        """Decode a line into its codes: the lift over the named ring, and the
+        base over the residue field with the lift's border mod p."""
         try:
             family, ring_name, n, *pairs = line.split()
             kv = dict(pair.split("=", 1) for pair in pairs)
             border = None if kv["border"] == "-" else parse_vector(kv["border"])
-            return cls(
-                family=family,
-                ring_name=ring_name,
-                n=int(n),
-                base=parse_vector(kv["base"]),
-                lift=parse_vector(kv["lift"]),
-                border=border,
-                d_lee=int(kv["d_lee"]),
-                d_ham_base=int(kv["d_ham_base"]),
-            )
+            ring = ChainRing.from_name(ring_name)
+            lift = family_spec(family, ring, parse_vector(kv["lift"]), border)
+            if lift.n != int(n):
+                raise ValueError(f"n = {n} is not the lift's length {lift.n}")
+            base_border = None if border is None else tuple(b % ring.p for b in border)
+            base = family_spec(family, ChainRing(ring.p, 1), parse_vector(kv["base"]), base_border)
+            return cls(family, base, lift, int(kv["d_lee"]), int(kv["d_ham_base"]))
         except (ValueError, KeyError) as exc:
             raise ValueError(f"malformed record line {line!r}: {exc}") from None
-
-    def lift_spec(self) -> CodeSpec:
-        return family_spec(self.family, ChainRing.from_name(self.ring_name), self.lift, self.border)
-
-    def base_spec(self) -> CodeSpec:
-        residue = ChainRing(ChainRing.from_name(self.ring_name).p, 1)
-        border = None if self.border is None else tuple(b % residue.p for b in self.border)
-        return family_spec(self.family, residue, self.base, border)
 
 
 @dataclass
@@ -236,9 +226,9 @@ def read_results(path: str) -> tuple[list[tuple[int, str]], str | None]:
     return records, lines[-1] if lines and lines[-1].startswith("#") else None
 
 
-def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
-    """The state saved for this search, or a fresh one when there is none or
-    it is not a results file this search could have written."""
+def _read_checkpoint(cfg: SearchConfig, bases_total: int) -> SearchResult:
+    """The state saved for this search of `bases_total` bases, or a fresh one when
+    there is none or it is not a results file this search could have written."""
     if cfg.checkpoint is None:
         return SearchResult()
     try:
@@ -253,17 +243,21 @@ def _read_checkpoint(cfg: SearchConfig) -> SearchResult:
         )
     except (OSError, KeyError, ValueError):
         return SearchResult()
-    # each record at least `prune` above the one before, the last at the best
+    # each record at least `prune` above the one before, the last at the best,
+    # one examined lift per record and no more bases than the search has
     values = [rec.d_lee for rec in result.all_records]
     chained = all(b >= a + cfg.prune for a, b in zip(values, values[1:]))
-    return result if chained and values[-1:] in ([], [result.best_d_lee]) else SearchResult()
+    counted = result.bases_examined <= bases_total and result.lifts_examined >= len(values)
+    ok = chained and counted and values[-1:] in ([], [result.best_d_lee])
+    return result if ok else SearchResult()
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
     """The main loop: bases in descending d_Ham order; stop once p^{m-1} floor(p/2) d_Ham <= d."""
     lee_factor = cfg.ring.p ** (cfg.ring.m - 1) * (cfg.ring.p // 2)
     bases = _sorted_bases(cfg)
-    result = _read_checkpoint(cfg)
+    result = _read_checkpoint(cfg, len(bases))
+    resumed_at = result.bases_examined
     for base, d_ham in bases[result.bases_examined:]:
         if cfg.prune and lee_factor * d_ham <= result.best_d_lee:
             break
@@ -274,25 +268,14 @@ def run_search(cfg: SearchConfig) -> SearchResult:
             val = min_lee_distance(lift, early_abort_at=need)
             if val >= need:
                 result.best_d_lee = val
-                result.all_records.append(
-                    SearchRecord(
-                        family=cfg.family,
-                        ring_name=cfg.ring.name,
-                        n=cfg.n,
-                        base=base.a,
-                        lift=lift.a,
-                        border=lift.border,
-                        d_lee=val,
-                        d_ham_base=d_ham,
-                    )
-                )
+                result.all_records.append(SearchRecord(cfg.family, base, lift, val, d_ham))
                 if cfg.prune and lee_factor * d_ham <= result.best_d_lee:
                     break  # no other lift of this base can beat d
         result.bases_examined += 1
         if cfg.checkpoint is not None:
             write_records(cfg.checkpoint, cfg, result)
 
-    if cfg.checkpoint is not None and not bases:  # the loop wrote none
+    if cfg.checkpoint is not None and result.bases_examined == resumed_at:  # the loop wrote none
         write_records(cfg.checkpoint, cfg, result)
     if cfg.out is not None:
         write_records(cfg.out, cfg, result)
@@ -314,21 +297,13 @@ def write_records(path: str, cfg: SearchConfig, result: SearchResult) -> None:
 
 
 def verify_record(rec: SearchRecord) -> bool:
-    """Re-check self-duality, the projection of the lift onto the recorded
-    base vector, and both recorded distances.  The base border is derived
-    from the lift's border, so its projection is not checked independently."""
-    try:
-        lifted = rec.lift_spec()
-        base = rec.base_spec()
-    except ValueError:
+    """Re-check the claims of a decoded record: self-duality of the lift, its
+    projection onto the base vector, and both recorded distances.  The base
+    border is the lift's mod p, so its projection is not checked independently."""
+    if not is_self_dual(rec.lift):
         return False
-    if lifted.n != rec.n or not is_self_dual(lifted):
+    if tuple(c % rec.base.ring.p for c in rec.lift.a) != rec.base.a:
         return False
-    p = base.ring.p
-    if tuple(c % p for c in lifted.a) != rec.base:
+    if min_lee_distance(rec.lift) != rec.d_lee:
         return False
-    if min_lee_distance(lifted) != rec.d_lee:
-        return False
-    if min_hamming_distance(base) != rec.d_ham_base:
-        return False
-    return True
+    return min_hamming_distance(rec.base) == rec.d_ham_base

@@ -168,7 +168,7 @@ class TestCertifierAtProductionSize:
         assert len(winners) == 8 and len(others) >= 24
         # the search keeps one witness, equivalent to one of the 8
         (witness,) = run_search(config).records
-        assert canonical_form(witness.lift_spec()) in {canonical_form(spec) for spec in winners}
+        assert canonical_form(witness.lift) in {canonical_form(spec) for spec in winners}
         for spec in winners + others:
             G = generator_matrix(spec)
             oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
@@ -201,7 +201,7 @@ class TestCertifierAtProductionSize:
         # is an information set and the sweep runs up to weight d - 1
         singular = CodeSpec(Z4, 3, (2, 2, 0, 0))
         config = SearchConfig(ring=Z4, n=24, family="double-nega")
-        winner = run_search(config).records[0].lift_spec()
+        winner = run_search(config).records[0].lift
         near = CodeSpec(Z4, 3, ((winner.a[0] + 1) % 4,) + winner.a[1:])
         for spec in (singular, near):
             assert not is_self_dual(spec)

@@ -190,7 +190,7 @@ class TestRunSearch:
         r1 = run_search(cfg())
         r2 = run_search(cfg(prune=False))
         assert r1.best_d_lee == r2.best_d_lee
-        key = lambda r: (r.base, r.lift, r.border or ())
+        key = lambda r: (r.base, r.lift)
         assert set(map(key, r1.records)) == set(map(key, r2.records))
 
     def test_results_file(self, tmp_path):
@@ -414,9 +414,44 @@ class TestRunSearch:
         first, *rest = ck.read_text().splitlines()
         assert rest[:-1]  # a second record for the blank line to sit before
         ck.write_text("\n".join(["# a comment", "", first, "  ", "#", *rest]) + "\n")
-        assert alphacirc.search._read_checkpoint(config).bases_examined == 1
+        bases_total = len(alphacirc.search._sorted_bases(config))
+        assert alphacirc.search._read_checkpoint(config, bases_total).bases_examined == 1
         fresh = run_search(cfg(n=16, prune=False, out=str(out)))
         assert run_search(config) == fresh
+        assert ck.read_bytes() == out.read_bytes()
+
+    def test_checkpoint_past_the_bases_starts_over(self, tmp_path):
+        # more bases examined than the search has, and no records: resuming it
+        # would return best d_Lee 0 without lifting a base
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        ck.write_text("# family=double-nega ring=z4 n=8 prune=1 best_d_lee=0 witnesses=0"
+                      " bases_examined=99 lifts_examined=0\n")
+        fresh = run_search(cfg(out=str(out)))
+        assert fresh.best_d_lee == 6
+        assert run_search(cfg(checkpoint=str(ck))) == fresh
+        assert ck.read_bytes() == out.read_bytes()
+
+    def test_checkpoint_with_fewer_lifts_than_records_starts_over(self, tmp_path):
+        # each record is one examined lift, so records under lifts_examined=0
+        # are not a checkpoint this search wrote
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        fresh = run_search(cfg(family="bordered-circ", out=str(out)))
+        assert fresh.lifts_examined >= len(fresh.all_records) > 0
+        text = out.read_text()
+        ck.write_text(text.replace(f"lifts_examined={fresh.lifts_examined}", "lifts_examined=0"))
+        assert run_search(cfg(family="bordered-circ", checkpoint=str(ck))) == fresh
+        assert ck.read_text() == text
+
+    def test_resumed_finished_checkpoint_is_rewritten(self, tmp_path):
+        # a finished checkpoint with a blank and a `#` line added: resuming it
+        # examines no base and still leaves the checkpoint equal to --out
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        config = cfg(n=16, family="bordered-circ", prune=False, checkpoint=str(ck))
+        fresh = run_search(config)
+        assert fresh.bases_examined == len(alphacirc.search._sorted_bases(config))
+        *records, summary = ck.read_text().splitlines()
+        ck.write_text("\n".join(["", "# a comment", *records, summary]) + "\n")
+        assert run_search(dataclasses.replace(config, out=str(out))) == fresh
         assert ck.read_bytes() == out.read_bytes()
 
     @pytest.mark.parametrize(
@@ -502,8 +537,16 @@ class TestRecords:
 
     def test_roundtrip(self):
         rec = SearchRecord.from_line(self.LINE)
-        assert rec.base == (0, 1, 1, 1) and rec.border is None
+        assert rec.base == CodeSpec(ChainRing(2, 1), 1, (0, 1, 1, 1))
+        assert rec.lift == CodeSpec(Z4, 3, (2, 1, 1, 3))
+        assert (rec.d_lee, rec.d_ham_base) == (6, 4)
         assert rec.to_line() == self.LINE
+        # a bordered base takes the lift's border mod p (decoding checks no claim)
+        line = "bordered-circ z9 8 base=0,1,2 lift=3,4,8 border=4,5,6 d_lee=4 d_ham_base=3"
+        rec = SearchRecord.from_line(line)
+        assert rec.base == CodeSpec(ChainRing(3, 1), 1, (0, 1, 2), (1, 2, 0))
+        assert rec.lift == CodeSpec(ChainRing(3, 2), 1, (3, 4, 8), (4, 5, 6))
+        assert rec.to_line() == line
 
     def test_malformed(self):
         with pytest.raises(ValueError):
@@ -515,17 +558,17 @@ class TestRecords:
         result = run_search(cfg())
         rec = result.records[0]
         assert verify_record(rec)
-        import dataclasses
-
         assert not verify_record(dataclasses.replace(rec, d_lee=rec.d_lee + 2))
-        bad_lift = tuple((c + 1) % 4 for c in rec.lift)
+        bad_lift = dataclasses.replace(rec.lift, a=tuple((c + 1) % 4 for c in rec.lift.a))
         assert not verify_record(dataclasses.replace(rec, lift=bad_lift))
-        assert not verify_record(dataclasses.replace(rec, n=2 * rec.n))
-        binary = SearchRecord.from_line(
-            "double-circ z2 8 base=0,1,1,1 lift=0,1,1,1 border=- d_lee=4 d_ham_base=4"
-        )
-        assert verify_record(binary)
-        assert not verify_record(dataclasses.replace(binary, family="triple-circ"))
+        # a claimed length or family that does not fit the vectors is not decoded
+        line = rec.to_line()
+        with pytest.raises(ValueError, match="malformed record line"):
+            SearchRecord.from_line(line.replace(" z4 8 ", " z4 16 "))
+        binary = "double-circ z2 8 base=0,1,1,1 lift=0,1,1,1 border=- d_lee=4 d_ham_base=4"
+        assert verify_record(SearchRecord.from_line(binary))
+        with pytest.raises(ValueError, match="malformed record line"):
+            SearchRecord.from_line(binary.replace("double-circ", "triple-circ"))
 
 
 class TestCli:
@@ -584,6 +627,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert "FAIL line 3:" in captured.err and "FAIL line 1:" not in captured.err
         assert captured.out == "checked 1 records, 1 failures\n"
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            "double-nega z4 16 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4",
+            "triple-circ z4 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4",
+            "double-nega z27 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4",
+            "double-nega z4 8 base=0,1,2,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4",
+        ],
+        ids=["length-not-the-lifts", "unknown-family", "unknown-ring", "base-digit-not-below-p"],
+    )
+    def test_verify_fails_a_line_the_decoder_rejects(self, tmp_path, capsys, bad):
+        records = tmp_path / "records.txt"
+        records.write_text(
+            bad + "\n"
+            "double-nega z4 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4\n"
+        )
+        with pytest.raises(ValueError, match="malformed record line"):
+            SearchRecord.from_line(bad)
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("FAIL") == 1 and "FAIL line 1:" in captured.err
+        assert captured.out == "checked 2 records, 1 failures\n"
 
     def test_verify_short_border_fails_its_line_only(self, tmp_path, capsys):
         records = tmp_path / "records.txt"
@@ -649,7 +715,8 @@ class TestCli:
         assert "interrupted" in capsys.readouterr().err
         monkeypatch.undo()
         config = cfg(n=16, checkpoint=str(ck), prune=False)
-        assert alphacirc.search._read_checkpoint(config).bases_examined == 1
+        bases_total = len(alphacirc.search._sorted_bases(config))
+        assert alphacirc.search._read_checkpoint(config, bases_total).bases_examined == 1
         assert main(argv + ["--checkpoint", str(ck)]) == 0
         resumed = capsys.readouterr().out
         assert main(argv + ["--out", str(out)]) == 0
