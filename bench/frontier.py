@@ -8,10 +8,11 @@ Every case runs its commands in fresh processes (`python -m alphacirc.cli`
 with the checkout's `src/` first on PYTHONPATH), so each time includes the
 imports and every cache the command builds.  A case is run `--runs` times;
 the report gives the median wall time of each command, the peak RSS of its
-processes, and the SHA-256 of its output files and stdout, which must be the
-same in every run.  With `--before`, the same cases also run on the other
-checkout, alternating with this one, and the report puts both side by side
-and says per case whether the two checkouts' digests agree.
+processes, the last line of its stdout (a search's summary line), and the
+SHA-256 of its output files and stdout, which must be the same in every run.
+With `--before`, the same cases also run on the other checkout, alternating
+with this one, and the report puts both side by side and says per case
+whether the two checkouts' digests agree.
 
 The script exits 1 when a command exits non-zero in any run, or when a
 command's digest differs between runs of one checkout; it names each such
@@ -90,7 +91,7 @@ def run_command(checkout: Path, argv: list[str], workdir: str) -> dict:
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return {"wall_s": wall, "peak_rss_mb": usage.ru_maxrss / 1024,
             "exit": proc.returncode, "sha256": digest.hexdigest(),
-            "stdout_head": stdout.decode(errors="replace").splitlines()[:2]}
+            "stdout_last": (stdout.decode(errors="replace").splitlines() or [""])[-1]}
 
 
 def run_case(checkout: Path, steps) -> dict[str, dict]:
@@ -108,7 +109,7 @@ def summarize(runs: list[dict[str, dict]]) -> dict:
             "peak_rss_mb": round(max(s["peak_rss_mb"] for s in samples), 1),
             "exit": sorted({s["exit"] for s in samples}),
             "sha256": sorted({s["sha256"] for s in samples}),
-            "stdout_head": samples[0]["stdout_head"],
+            "stdout_last": samples[0]["stdout_last"],
         }
     return out
 

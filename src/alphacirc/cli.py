@@ -2,7 +2,7 @@
 
 Subcommands:
   search    run a best-minimum-Lee-distance search for one length/family
-  verify    re-check every record line of a results file or checkpoint
+  verify    re-check the records and the summary of a results file or checkpoint
   distance  evaluate one code spec
   canon     canonical form of a generating vector
 
@@ -25,7 +25,9 @@ from .search import (
     SearchConfig,
     SearchRecord,
     family_spec,
+    format_results,
     read_results,
+    read_summary,
     run_search,
     verify_record,
 )
@@ -80,27 +82,29 @@ def _cmd_search(args) -> int:
         checkpoint=args.checkpoint,
         prune=not args.no_prune,
     )
-    result = run_search(cfg)
-    print(f"family={cfg.family} ring={cfg.ring.name} n={cfg.n} "
-          f"best_d_lee={result.best_d_lee}")
-    print(f"bases={result.bases_examined} lifts={result.lifts_examined} "
-          f"witnesses={len(result.records)}")
-    for rec in result.records:
-        print(rec.to_line())
+    print(format_results(cfg, run_search(cfg)), end="")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    lines, _ = read_results(args.infile)
-    bad = 0
+    lines, summary = read_results(args.infile)
+    records, bad = [], 0
     for number, line in lines:
         try:
-            ok = verify_record(SearchRecord.from_line(line))
+            records.append(SearchRecord.from_line(line))
+            ok = verify_record(records[-1])
         except ValueError:  # a malformed line fails like a false claim
             ok = False
         if not ok:
             bad += 1
             print(f"FAIL line {number}: {line}", file=sys.stderr)
+    # a record line that did not decode has failed already; other `#` lines are comments
+    if summary is not None and summary[1].startswith("# family=") and len(records) == len(lines):
+        try:
+            read_summary(summary[1], records)
+        except ValueError:
+            bad += 1
+            print(f"FAIL line {summary[0]}: {summary[1]}", file=sys.stderr)
     print(f"checked {len(lines)} records, {bad} failures")
     return 0 if bad == 0 else 2
 

@@ -124,17 +124,17 @@ def _group(ring: ChainRing, k: int, alpha: int, bordered: bool) -> tuple[np.ndar
 
 
 def _least_images(coords, gather: np.ndarray, mult: np.ndarray, size: int) -> np.ndarray:
-    """The lexicographically least image of each row of `coords` under the
-    elements (gather, mult) of `_group`, as uint8 rows: products are taken in
-    the dtype of `mult` and reduced, then compared as bytes."""
+    """The lexicographically least image of each row of `coords` under the elements
+    (gather, mult) of `_group`, a byte-string key read through a uint8 view (`bytes`
+    drops trailing zeros); products are taken in the dtype of `mult` and reduced."""
     images = mult * np.asarray(coords, dtype=mult.dtype)[:, gather] % size
     keys = images.astype(np.uint8, order="C", copy=False).view(f"S{images.shape[2]}")[..., 0]
-    return np.sort(keys, axis=1)[:, :1].view(np.uint8)
+    return np.sort(keys, axis=1)[:, 0]
 
 
 def _least_image(spec: CodeSpec) -> list[int]:
     gather, mult = _group(spec.ring, len(spec.a), spec.alpha, spec.border is not None)
-    return _least_images([spec.coords], gather, mult, spec.ring.size)[0].tolist()
+    return _least_images([spec.coords], gather, mult, spec.ring.size).view(np.uint8).tolist()
 
 
 def canonical_form(spec: CodeSpec) -> CodeSpec:

@@ -148,16 +148,13 @@ def _stabilizer_firsts(parent: CodeSpec, coords: np.ndarray, ring: ChainRing, al
 
     The stabilizer is the elements of `_group` that fix the parent's
     coordinates modulo the parent's ring.  A lift's key is its least image
-    under them (`equivalence._least_images`); a stable sort finds the firsts.
+    under them (`equivalence._least_images`); `np.unique`, a stable sort, finds the firsts.
     """
     gather, mult = _group(ring, len(parent.a), alpha, parent.border is not None)
     below = np.array(parent.coords)
     fixed = ((mult * below[gather] - below) % parent.ring.size == 0).all(axis=1)
     keys = _least_images(coords, gather[fixed], mult[fixed], ring.size)
-    order = np.lexsort(keys.T[::-1])  # a stable sort: equal keys stay in row order
-    ordered, first = keys[order], np.ones(len(keys), dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return coords[np.sort(order[first])]
+    return coords[np.sort(np.unique(keys, return_index=True)[1])]
 
 
 def nested_lift(base: CodeSpec, ring: ChainRing, alpha: int):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 
 from .chainring import ChainRing, ChainRingError
@@ -217,13 +218,37 @@ def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
     return sorted(bases, key=lambda item: (-item[1], item[0].coords))
 
 
-def read_results(path: str) -> tuple[list[tuple[int, str]], str | None]:
-    """The record lines of a results file, numbered from 1 as in the file (blank
-    and `#` lines skipped), and its summary: the last line if it starts with `#`."""
+def read_results(path: str) -> tuple[list[tuple[int, str]], tuple[int, str] | None]:
+    """The record lines of a results file, numbered from 1 as in the file (blank and
+    `#` lines skipped), and its summary, the last line if it is a `#` line, numbered."""
     with open(path, encoding="utf-8") as fh:
         lines = list(map(str.strip, fh))
     records = [(i, line) for i, line in enumerate(lines, 1) if line and not line.startswith("#")]
-    return records, lines[-1] if lines and lines[-1].startswith("#") else None
+    return records, (len(lines), lines[-1]) if lines and lines[-1].startswith("#") else None
+
+
+def read_summary(summary: str, records: list[SearchRecord]) -> SearchResult:
+    """The search state that the summary line of a results file claims for its
+    decoded `records`.  Raises ValueError unless the line is the one that
+    search writes over them (so `witnesses=` counts the records at the best),
+    every record has the search's family, ring and n, each record's d_Lee is at
+    least `prune` above the one before, the last is at the best, and there are
+    no more records than examined lifts.  Makes no distance call."""
+    # a missing field reads as "", which no ring, family or count parses
+    kv = defaultdict(str, (f.split("=", 1) for f in summary.removeprefix("# ").split()))
+    cfg = SearchConfig(ChainRing.from_name(kv["ring"]), int(kv["n"]), kv["family"],
+                       prune=kv["prune"] == "1")
+    counts = {f.name: int(kv[f.name]) for f in fields(SearchResult) if f.type == "int"}
+    result = SearchResult(all_records=records, **counts)
+    values = [rec.d_lee for rec in records]
+    if (_summary_line(cfg, result) != summary
+            or any((r.family, r.lift.ring, r.lift.n) != (cfg.family, cfg.ring, cfg.n)
+                   for r in records)
+            or not all(b >= a + cfg.prune for a, b in zip(values, values[1:]))
+            or values[-1:] not in ([], [result.best_d_lee])
+            or result.lifts_examined < len(values)):
+        raise ValueError(f"summary {summary!r} is not what its search writes over its records")
+    return result
 
 
 def _read_checkpoint(cfg: SearchConfig, bases_total: int) -> SearchResult:
@@ -233,23 +258,13 @@ def _read_checkpoint(cfg: SearchConfig, bases_total: int) -> SearchResult:
         return SearchResult()
     try:
         lines, summary = read_results(cfg.checkpoint)
-        prefix = f"# {cfg.fingerprint()} "
-        if summary is None or not summary.startswith(prefix):
+        if summary is None or not summary[1].startswith(f"# {cfg.fingerprint()} "):
             return SearchResult()
-        counts = dict(f.split("=", 1) for f in summary[len(prefix):].split())
-        result = SearchResult(
-            all_records=[SearchRecord.from_line(line) for _, line in lines],
-            **{f.name: int(counts[f.name]) for f in fields(SearchResult) if f.type == "int"},
-        )
-    except (OSError, KeyError, ValueError):
+        result = read_summary(summary[1], [SearchRecord.from_line(line) for _, line in lines])
+    except (OSError, ValueError):
         return SearchResult()
-    # each record at least `prune` above the one before, the last at the best,
-    # one examined lift per record and no more bases than the search has
-    values = [rec.d_lee for rec in result.all_records]
-    chained = all(b >= a + cfg.prune for a, b in zip(values, values[1:]))
-    counted = result.bases_examined <= bases_total and result.lifts_examined >= len(values)
-    ok = chained and counted and values[-1:] in ([], [result.best_d_lee])
-    return result if ok else SearchResult()
+    # the one claim verify cannot check, as it does not enumerate the bases
+    return result if result.bases_examined <= bases_total else SearchResult()
 
 
 def run_search(cfg: SearchConfig) -> SearchResult:
@@ -282,17 +297,27 @@ def run_search(cfg: SearchConfig) -> SearchResult:
     return result
 
 
-def write_records(path: str, cfg: SearchConfig, result: SearchResult) -> None:
-    """Write the results file: one line per record, then `# <fingerprint>` and
-    `name=value` per int field of the result, with `witnesses=` after the first.
-    The lines are built before anything is opened and replace the file through
-    a temporary one, so a failure mid-write leaves the previous file."""
+def _summary_line(cfg: SearchConfig, result: SearchResult) -> str:
+    """`# <fingerprint>`, then `name=value` per int field of the result, with
+    `witnesses=` after the first."""
     counts = [f"{f.name}={getattr(result, f.name)}" for f in fields(result) if f.type == "int"]
     counts.insert(1, f"witnesses={len(result.records)}")
-    lines = [rec.to_line() + "\n" for rec in result.all_records]
-    lines.append(f"# {cfg.fingerprint()} {' '.join(counts)}\n")
+    return f"# {cfg.fingerprint()} {' '.join(counts)}"
+
+
+def format_results(cfg: SearchConfig, result: SearchResult) -> str:
+    """The text of a search's results file, which `alphacirc search` also prints:
+    one line per record, then the summary line."""
+    lines = [rec.to_line() for rec in result.all_records] + [_summary_line(cfg, result)]
+    return "".join(line + "\n" for line in lines)
+
+
+def write_records(path: str, cfg: SearchConfig, result: SearchResult) -> None:
+    """Write the results file, built before anything is opened, through a
+    temporary one, so a failure mid-write leaves the previous file."""
+    text = format_results(cfg, result)
     with open(path + ".tmp", "w", encoding="utf-8") as fh:
-        fh.write("".join(lines))
+        fh.write(text)
     os.replace(path + ".tmp", path)
 
 

@@ -62,7 +62,7 @@ def test_frontier_exit_and_agreement(monkeypatch, tmp_path, outcomes, code, agre
     def fake_run(checkout, argv, workdir):
         exit_code, digest = next(trees[checkout])
         return {"wall_s": 0.0, "peak_rss_mb": 0.0, "exit": exit_code, "sha256": digest,
-                "stdout_head": []}
+                "stdout_last": ""}
 
     monkeypatch.setattr(frontier, "run_command", fake_run)
     out = tmp_path / "report.json"

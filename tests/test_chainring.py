@@ -34,6 +34,8 @@ class TestDescriptor:
     def test_bad_parameters(self):
         with pytest.raises(ChainRingError):
             ChainRing(4, 2)
+        with pytest.raises(ChainRingError):  # no prime is below 2
+            ChainRing(1, 2)
         with pytest.raises(ChainRingError):
             ChainRing(2, 0)
 

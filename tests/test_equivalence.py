@@ -300,8 +300,11 @@ class TestLeastImages:
                 # the group keeps its multipliers in the product dtype, read-only
                 assert mult.dtype == np.min_scalar_type((ring.size - 1) ** 2)
                 assert not mult.flags.writeable
-                least = _least_images([spec.coords for spec in specs], gather, mult, ring.size)
-                assert least.dtype == np.uint8 and least.shape == (4, k + 3 * bordered)
+                keys = _least_images([spec.coords for spec in specs], gather, mult, ring.size)
+                assert keys.shape == (4,) and keys.dtype == f"S{k + 3 * bordered}"
+                # the keys' uint8 view holds the rows, trailing zeros included
+                least = keys[:, None].view(np.uint8)
+                assert least.shape == (4, k + 3 * bordered)
                 for spec, row in zip(specs, least.tolist()):
                     if bordered:
                         orbit = {core + border for core, border in helpers.bordered_orbit(spec)}
@@ -366,6 +369,8 @@ class TestNecklaces:
     def test_k1(self):
         assert list(necklaces(1, 2)) == [(0,), (1,)]
         assert list(necklaces(1, 3)) == [(0,), (1,), (2,)]
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            list(necklaces(0, 2))
 
     def test_k2(self):
         assert list(necklaces(2, 2)) == [(0, 0), (0, 1), (1, 1)]

@@ -204,7 +204,7 @@ class TestRunSearch:
         records, summary = read_results(str(out))
         assert [SearchRecord.from_line(line) for _, line in records] == result.all_records
         assert [number for number, _ in records] == list(range(1, len(lines)))
-        assert summary == lines[-1]
+        assert summary == (len(lines), lines[-1])
 
     def test_results_file_survives_failed_write(self, tmp_path, monkeypatch):
         out = tmp_path / "records.txt"
@@ -398,6 +398,20 @@ class TestRunSearch:
             assert run_search(resumed) == fresh
             assert (tmp_path / "new.txt").read_bytes() == out.read_bytes() == ck.read_bytes()
 
+    def test_checkpoint_with_records_of_another_search_starts_over(self, tmp_path, capsys):
+        # the two Z4 n = 8 records under a summary that fits the n = 16 search
+        # in every field: resuming it would list them above the n = 16 witness
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        n8 = (GOLDEN / "z4-n8-double-nega.txt").read_text(encoding="utf-8").splitlines()[:2]
+        ck.write_text("\n".join(n8) + "\n# family=double-nega ring=z4 n=16 prune=1 best_d_lee=6"
+                      " witnesses=1 bases_examined=1 lifts_examined=2\n")
+        argv = ["search", "--ring", "z4", "--length", "16", "--family", "double-nega"]
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        assert main(argv + ["--checkpoint", str(ck), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == fresh == out.read_text() == ck.read_text()
+        assert " n=8 " not in fresh and main(["verify", "--in", str(out)]) == 0
+
     def test_checkpoint_skips_blank_and_comment_lines(self, tmp_path, monkeypatch):
         # resume reads a checkpoint the way verify does: blank and `#` lines
         # between the records are not records
@@ -585,6 +599,95 @@ class TestCli:
         ok = capsys.readouterr().out
         assert "0 failures" in ok
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--ring", "z4", "--length", "8", "--family", "double-nega"],
+            ["--ring", "z4", "--length", "8", "--family", "bordered-circ"],
+            ["--ring", "z9", "--length", "12", "--family", "bordered-circ", "--no-prune"],
+        ],
+        ids=["z4-n8-double-nega", "z4-n8-bordered-circ", "z9-n12-bordered-circ-census"],
+    )
+    def test_search_prints_its_results_file(self, argv, tmp_path, capsys):
+        # stdout, --out and the final checkpoint are one text, so verify checks
+        # everything a search printed
+        out, ck = tmp_path / "records.txt", tmp_path / "state.txt"
+        assert main(["search", *argv, "--out", str(out), "--checkpoint", str(ck)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.encode() == out.read_bytes() == ck.read_bytes()
+        stdout_file = tmp_path / "stdout.txt"
+        stdout_file.write_text(stdout)
+        assert main(["verify", "--in", str(stdout_file)]) == 0
+        records = stdout.count("\n") - 1
+        assert records > 0 and capsys.readouterr().out == f"checked {records} records, 0 failures\n"
+
+    @pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.txt")), ids=lambda path: path.stem)
+    def test_verify_passes_every_golden_file(self, path, capsys):
+        assert main(["verify", "--in", str(path)]) == 0
+        records = len(path.read_text(encoding="utf-8").splitlines()) - 1
+        assert capsys.readouterr().out == f"checked {records} records, 0 failures\n"
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("n=16 ", "n=24 "),
+            ("best_d_lee=8 ", "best_d_lee=10 "),
+            ("witnesses=1 ", "witnesses=5 "),
+            ("n=16 prune=1 best_d_lee=8 witnesses=1 ", "n=24 prune=1 best_d_lee=10 witnesses=5 "),
+        ],
+        ids=["n", "best", "witnesses", "all-three"],
+    )
+    def test_verify_fails_an_edited_summary(self, old, new, tmp_path, capsys, monkeypatch):
+        # the records hold, so the summary line is the one failure; checking it
+        # computes no distance (each record is one min_lee_distance call)
+        records = tmp_path / "records.txt"
+        assert main(["search", "--ring", "z4", "--length", "16", "--family", "double-nega",
+                     "--out", str(records)]) == 0
+        *lines, summary = records.read_text().splitlines()
+        assert len(lines) == 2 and old in summary
+        records.write_text("\n".join([*lines, summary.replace(old, new)]) + "\n")
+        capsys.readouterr()
+        lee_calls = []
+
+        def counted(spec, early_abort_at=0):
+            lee_calls.append(spec)
+            return min_lee_distance(spec, early_abort_at)
+
+        monkeypatch.setattr(alphacirc.search, "min_lee_distance", counted)
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"FAIL line 3: {summary.replace(old, new)}\n"
+        assert captured.out == "checked 2 records, 1 failures\n"
+        assert len(lee_calls) == 2
+
+    def test_verify_fails_swapped_records(self, tmp_path, capsys):
+        # each record holds on its own; a pruned file's records rise to the best
+        records = tmp_path / "records.txt"
+        first, second, summary = (GOLDEN / "z4-n8-double-nega.txt").read_text().splitlines()
+        records.write_text("\n".join([second, first, summary]) + "\n")
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"FAIL line 3: {summary}\n"
+        assert captured.out == "checked 2 records, 1 failures\n"
+
+    def test_verify_reports_a_record_that_does_not_decode_once(self, tmp_path, capsys):
+        # the summary is not checked over records that did not all decode
+        records = tmp_path / "records.txt"
+        first, second, summary = (GOLDEN / "z4-n8-double-nega.txt").read_text().splitlines()
+        records.write_text("\n".join([first, second.replace(" d_ham_base=4", ""), summary]) + "\n")
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("FAIL") == 1 and "FAIL line 2:" in captured.err
+        assert captured.out == "checked 2 records, 1 failures\n"
+
+    def test_verify_reads_a_last_comment_as_a_comment(self, tmp_path, capsys):
+        # only a last line that starts with `# family=` is a summary
+        records = tmp_path / "records.txt"
+        golden = (GOLDEN / "z4-n8-double-nega.txt").read_text()
+        records.write_text(golden.replace("witnesses=1", "witnesses=5") + "# checked by hand\n")
+        assert main(["verify", "--in", str(records)]) == 0
+        assert capsys.readouterr().out == "checked 2 records, 0 failures\n"
+
     def test_verify_flags_bad_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text(
@@ -612,8 +715,9 @@ class TestCli:
             "search", "--ring", "z9", "--length", "6", "--family", "double-circ",
             "--out", str(out), "--checkpoint", str(ck),
         ]) == 0
-        assert "bases=0 lifts=0" in capsys.readouterr().out
-        assert ck.read_bytes() == out.read_bytes()
+        stdout = capsys.readouterr().out
+        assert "bases_examined=0 lifts_examined=0" in stdout
+        assert stdout.encode() == ck.read_bytes() == out.read_bytes()
 
     def test_verify_numbers_file_lines(self, tmp_path, capsys):
         # comment and blank lines count: the bad record is line 3 of the file
@@ -721,7 +825,7 @@ class TestCli:
         resumed = capsys.readouterr().out
         assert main(argv + ["--out", str(out)]) == 0
         assert resumed == capsys.readouterr().out
-        assert ck.read_bytes() == out.read_bytes()
+        assert resumed.encode() == ck.read_bytes() == out.read_bytes()
 
     def test_distance(self, capsys):
         code = main([
