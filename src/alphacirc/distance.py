@@ -25,6 +25,17 @@ with alpha = 1 adds the cyclic shifts of the k - 1 core coordinates with the
 first one fixed, which keep the constant border row and column in place.
 For any other alpha the shift is no Lee isometry, and -1 is the whole group.
 The representatives of each (weight table, k, t, group) are cached.
+
+A block of messages M (one per row) is scored in columns: B^t M^t, with
+B = A on set 0 and B = A^t on set 1 (-A^t up to a sign, which no weight
+sees), is a float32 product of shape (k, rows).  It is exact, since each
+entry is a sum of k products of residues, at most k (|R| - 1)^2, and a
+spec for which that is above 2^24 is refused before any layer is built.
+Each entry x is looked up in a cached table of the weight of x mod |R|, and
+the k weights of a column are summed.  When a round's layer fits one block
+of `_BLOCK_ENTRIES` for each set, one product scores it on every set, and
+the bound s t + s is checked once after it; a larger round is scored set by
+set and block by block, with the bound s t + i + 1 after set i.
 """
 
 from __future__ import annotations
@@ -39,6 +50,9 @@ from .circulant import CodeSpec, generator_matrix
 # message entries per evaluated block; bounds the work arrays (about 1 MB each)
 _BLOCK_ENTRIES = 2**17
 
+# float32 holds every integer up to 2^24 exactly: the bound on a product entry
+_FLOAT32_EXACT = 2**24
+
 # A message group (fixed, wrap): the first `fixed` coordinates stay in place,
 # the others shift with multiplier `wrap` on the coordinate that wraps
 # around (wrap None: no shift), and the whole message may be negated.
@@ -52,6 +66,14 @@ def lee_table(ring: ChainRing) -> np.ndarray:
     mod = ring.size
     v = np.arange(mod)
     table = np.minimum(v, mod - v)
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _hamming_table(ring: ChainRing) -> np.ndarray:
+    """Hamming weight per residue (cached, read-only)."""
+    table = (np.arange(ring.size) != 0).astype(np.int64)
     table.flags.writeable = False
     return table
 
@@ -147,30 +169,51 @@ def _automorphisms(spec: CodeSpec) -> _Group:
     return (0, spec.alpha) if spec.alpha in (1, mod - 1) else (0, None)
 
 
+@functools.cache
+def _product_weights(table: tuple[int, ...], k: int) -> tuple[np.ndarray, np.dtype]:
+    """The weight of x mod |R| for every entry x = 0 .. k (|R| - 1)^2 of a
+    scoring product, in a dtype that holds a sum of k weights, and the
+    smallest unsigned dtype that holds those x (cached, read-only)."""
+    mod = len(table)
+    top = k * (mod - 1) ** 2
+    weights = np.asarray(table, dtype=np.min_scalar_type(k * max(table)))[np.arange(top + 1) % mod]
+    weights.flags.writeable = False
+    return weights, np.min_scalar_type(top)
+
+
 def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int = 0) -> int:
     G, mod, group = generator_matrix(spec), spec.ring.size, _automorphisms(spec)
     k = G.shape[0]
+    if k * (mod - 1) ** 2 > _FLOAT32_EXACT:
+        raise ValueError(f"k (|R| - 1)^2 = {k * (mod - 1) ** 2} is above 2^24, "
+                         f"where a float32 product stops being exact (k = {k}, |R| = {mod})")
     A = G[:, k:]
-    sets = [A]  # per information set: its message times this is the other half
-    square = A @ A.T
-    square.flat[:: k + 1] += 1  # A A^t + I = 0 mod |R| iff A A^t = -I
-    if not np.remainder(square, mod, out=square).any():
-        sets.append(-A.T % mod)
-    sets = np.asarray(sets, dtype=np.float64)  # exact: products stay far below 2^53
+    sets = [A.T]  # per information set its B^t: B^t m^t is the other half of message m
+    if not (G @ G.T % mod).any():  # G G^t = I + A A^t = 0 iff A A^t = -I
+        sets.append(A)  # B = A^t: the set's -A^t up to a sign, which no weight sees
+    s = len(sets)
+    columns = np.concatenate(sets, dtype=np.float32)
     table = tuple(wtable.tolist())
+    weights, index = _product_weights(table, k)
     rows = _BLOCK_ENTRIES // k
     best = max(table) * 2 * k + 1
     for t in range(1, max(table) * k + 1):
         layer = _representatives(table, k, t, group)
-        for i, B in enumerate(sets):
-            for lo in range(0, len(layer), rows):
-                other = (layer[lo : lo + rows] @ B).astype(np.intp) % mod
-                block_min = t + int(wtable[other].sum(axis=1).min())
+        blocks = [layer[lo : lo + rows] for lo in range(0, len(layer), rows)]
+        if len(blocks) <= 1:  # one product scores the round on every set
+            passes = [(columns, s * t + s)]
+        else:
+            passes = [(columns[i * k : (i + 1) * k], s * t + i + 1) for i in range(s)]
+        for part, bound in passes:
+            for block in blocks:
+                product = (part @ block.T.astype(np.float32)).astype(index)
+                other = weights.take(product).reshape(-1, k, len(block))
+                block_min = t + int(other.sum(axis=1, dtype=weights.dtype).min())
                 if block_min < best:
                     best = block_min
                     if best < early_abort_at:
                         return best
-            if best <= len(sets) * t + i + 1:
+            if best <= bound:
                 return best
     return best
 
@@ -183,8 +226,7 @@ def min_lee_distance(spec: CodeSpec, early_abort_at: int = 0) -> int:
 
 def min_hamming_distance(spec: CodeSpec) -> int:
     """Exact minimum Hamming weight of the code."""
-    wtable = (np.arange(spec.ring.size) != 0).astype(np.int64)
-    return _min_weight(spec, wtable)
+    return _min_weight(spec, _hamming_table(spec.ring))
 
 
 def is_doubly_even(spec: CodeSpec) -> bool:

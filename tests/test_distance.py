@@ -209,6 +209,39 @@ class TestCertifierAtProductionSize:
             oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
             assert_certifier_matches(oracle, spec)
 
+    def test_one_product_and_split_rounds(self, monkeypatch):
+        # with blocks of 64 messages at k = 12, the [24,12] certificate scores
+        # its first rounds on both information sets in one product and its
+        # last ones set by set, over several blocks
+        monkeypatch.setattr(distance, "_BLOCK_ENTRIES", 12 * 64)
+        _representatives.cache_clear()
+        try:
+            config = SearchConfig(ring=Z4, n=24, family="double-nega")
+            spec = run_search(config).records[-1].lift
+            table, group = tuple(lee_table(Z4).tolist()), _automorphisms(spec)
+            sizes = [len(_representatives(table, 12, t, group)) for t in range(1, 6)]
+            assert min(sizes) <= 64 < max(sizes)
+            G = generator_matrix(spec)
+            oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
+            assert_certifier_matches(oracle, spec)
+            assert min_hamming_distance(spec) == helpers.mitm_min_weight(G, 4, lee_table(Z4) != 0)
+        finally:
+            _representatives.cache_clear()
+
+    def test_float32_bound_is_checked_before_any_layer(self, monkeypatch):
+        # at k = 259 over Z256 a product entry can reach 259 * 255^2 > 2^24,
+        # past what float32 holds exactly; k = 258 would still fit
+        def no_layer(*args):
+            raise AssertionError("a layer was built")
+
+        monkeypatch.setattr(distance, "_representatives", no_layer)
+        monkeypatch.setattr(distance, "_product_weights", no_layer)
+        spec = CodeSpec(ChainRing(2, 8), 1, (1,) * 259)
+        with pytest.raises(ValueError, match=r"2\^24"):
+            min_lee_distance(spec)
+        with pytest.raises(ValueError, match=r"2\^24"):
+            min_hamming_distance(spec)
+
     def test_message_blocks_cover_each_layer_once(self):
         table = tuple(lee_table(Z9).tolist())
         for t in range(0, 4 * 4 + 1):

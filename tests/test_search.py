@@ -680,8 +680,19 @@ class TestCli:
         assert captured.err.count("FAIL") == 1 and "FAIL line 2:" in captured.err
         assert captured.out == "checked 2 records, 1 failures\n"
 
+    def test_verify_fails_a_summary_with_a_damaged_first_field(self, tmp_path, capsys):
+        # a last `#` line holding `best_d_lee=` is a summary, whatever its first field
+        records = tmp_path / "records.txt"
+        first, second, summary = (GOLDEN / "z4-n8-double-nega.txt").read_text().splitlines()
+        damaged = summary.replace("# family=", "# famly=")
+        records.write_text("\n".join([first, second, damaged]) + "\n")
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"FAIL line 3: {damaged}\n"
+        assert captured.out == "checked 2 records, 1 failures\n"
+
     def test_verify_reads_a_last_comment_as_a_comment(self, tmp_path, capsys):
-        # only a last line that starts with `# family=` is a summary
+        # a last `#` line without `best_d_lee=` is a comment, not a summary
         records = tmp_path / "records.txt"
         golden = (GOLDEN / "z4-n8-double-nega.txt").read_text()
         records.write_text(golden.replace("witnesses=1", "witnesses=5") + "# checked by hand\n")
