@@ -44,28 +44,34 @@ ROOT = Path(__file__).resolve().parent.parent
 N40_VECTOR = "2,0,2,2,0,2,0,0,0,1,3,0,3,3,0,0,2,3,3,1"
 
 
-def _search_case(n: int, family: str, *flags: str) -> list[tuple[str, list[str]]]:
-    search = ["search", "--ring", "z4", "--length", str(n), "--family", family,
+def _search_case(ring: str, n: int, family: str, *flags: str) -> list[tuple[str, list[str]]]:
+    search = ["search", "--ring", ring, "--length", str(n), "--family", family,
               "--out", "{dir}/records.txt", *flags]
     return [("search", search), ("verify", ["verify", "--in", "{dir}/records.txt"])]
 
 
 CASES = {
-    "z4-n32-double-nega": _search_case(32, "double-nega"),
-    "z4-n32-bordered-circ": _search_case(32, "bordered-circ"),
+    "z4-n32-double-nega": _search_case("z4", 32, "double-nega"),
+    "z4-n32-bordered-circ": _search_case("z4", 32, "bordered-circ"),
     "z4-n40-double-nega-certificate": [
         ("distance", ["distance", "--ring", "z4", "--family", "double-nega",
                       "--vector", N40_VECTOR]),
     ],
     # opt-in, select them with --case: an n = 32 census (every tie certified)
     # takes seconds, an n = 40 search seconds (over a minute when every tie
-    # was certified), an n = 48 one minutes and about half a gigabyte
-    "z4-n32-double-nega-census": _search_case(32, "double-nega", "--no-prune"),
-    "z4-n32-bordered-circ-census": _search_case(32, "bordered-circ", "--no-prune"),
-    "z4-n40-double-nega": _search_case(40, "double-nega"),
-    "z4-n40-bordered-circ": _search_case(40, "bordered-circ"),
-    "z4-n48-double-nega": _search_case(48, "double-nega"),
-    "z4-n48-bordered-circ": _search_case(48, "bordered-circ"),
+    # was certified), an n = 48 one minutes and about half a gigabyte; the
+    # Z9 n = 24 searches take seconds and their records include exact
+    # certificates of odd d_Lee (15, 17), and Z9 n = 28 `bordered-circ` (best
+    # d_Lee 19, odd) takes about 20 seconds
+    "z4-n32-double-nega-census": _search_case("z4", 32, "double-nega", "--no-prune"),
+    "z4-n32-bordered-circ-census": _search_case("z4", 32, "bordered-circ", "--no-prune"),
+    "z4-n40-double-nega": _search_case("z4", 40, "double-nega"),
+    "z4-n40-bordered-circ": _search_case("z4", 40, "bordered-circ"),
+    "z4-n48-double-nega": _search_case("z4", 48, "double-nega"),
+    "z4-n48-bordered-circ": _search_case("z4", 48, "bordered-circ"),
+    "z9-n24-double-nega": _search_case("z9", 24, "double-nega"),
+    "z9-n24-bordered-circ": _search_case("z9", 24, "bordered-circ"),
+    "z9-n28-bordered-circ": _search_case("z9", 28, "bordered-circ"),
 }
 DEFAULT_CASES = ["z4-n32-double-nega", "z4-n32-bordered-circ", "z4-n40-double-nega-certificate"]
 

@@ -1,13 +1,12 @@
 """Lee weights and the minimum-distance certifier.
 
 The certifier (after Brouwer and Zimmermann) enumerates the codewords of
-G = (I | A) by increasing weight of their message on each information set:
-the left half, and, when A A^t = -I, also the right half, which is the
-message of the generator -A^t G = (-A^t | I).  With s such sets, once round t
-(the messages of weight exactly t) is done on sets 0..i, every codeword not
-yet seen weighs at least s t + i + 1, so the best weight found is exact once
-it is at most that bound.  An abort threshold returns the first witness
-weight below it instead.
+G = (I | A) by increasing weight of their message on the left half and, for
+a self-dual code (A A^t = -I) with no mirror, on the right half, the message
+of -A^t G = (-A^t | I).  Once round t (the messages of weight exactly t) is
+done, every codeword not yet seen weighs at least t + 1, or 2 t + 2 for a
+self-dual code, so the best weight found is exact once it is at most that
+bound; an abort threshold returns the first witness weight below it instead.
 
 Each round scores one message per orbit of a group of signed permutations P
 of the message coordinates with P A = A P, the automorphisms of the
@@ -26,16 +25,12 @@ first one fixed, which keep the constant border row and column in place.
 For any other alpha the shift is no Lee isometry, and -1 is the whole group.
 The representatives of each (weight table, k, t, group) are cached.
 
-A block of messages M (one per row) is scored in columns: B^t M^t, with
-B = A on set 0 and B = A^t on set 1 (-A^t up to a sign, which no weight
-sees), is a float32 product of shape (k, rows).  It is exact, since each
-entry is a sum of k products of residues, at most k (|R| - 1)^2, and a
-spec for which that is above 2^24 is refused before any layer is built.
-Each entry x is looked up in a cached table of the weight of x mod |R|, and
-the k weights of a column are summed.  When a round's layer fits one block
-of `_BLOCK_ENTRIES` for each set, one product scores it on every set, and
-the bound s t + s is checked once after it; a larger round is scored set by
-set and block by block, with the bound s t + i + 1 after set i.
+A block of messages M (one per row) is scored as one float32 product B^t M^t
+over the sets scored, B = A on set 0 and A^t on set 1 (-A^t up to a sign,
+which no weight sees).  It is exact: an entry is a sum of k products of
+residues, at most k (|R| - 1)^2, and a spec for which that is above 2^24 is
+refused before any layer is built.  Each entry x is looked up in a cached
+table of the weight of x mod |R|, and the k weights of a column are summed.
 """
 
 from __future__ import annotations
@@ -181,6 +176,16 @@ def _product_weights(table: tuple[int, ...], k: int) -> tuple[np.ndarray, np.dty
     return weights, np.min_scalar_type(top)
 
 
+def _has_mirror(spec: CodeSpec) -> bool:
+    """Whether the spec's self-dual code has a mirror, a signed reversal J of
+    the shifted coordinates with A J A = -J: (u | v) -> (v J | -u J) is then a
+    Lee and Hamming isometry that takes each weight-t message of the right
+    half to one of the left half.  A shift gives one, x -> x^-1 (it inverts
+    T, so A J = J A^t = -J A^-1); a bordered code needs delta = +-gamma too."""
+    _, gamma, delta = spec.border or (0, 0, 0)
+    return _automorphisms(spec)[1] is not None and delta in (gamma, -gamma % spec.ring.size)
+
+
 def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int = 0) -> int:
     G, mod, group = generator_matrix(spec), spec.ring.size, _automorphisms(spec)
     k = G.shape[0]
@@ -188,10 +193,9 @@ def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int = 0) -> 
         raise ValueError(f"k (|R| - 1)^2 = {k * (mod - 1) ** 2} is above 2^24, "
                          f"where a float32 product stops being exact (k = {k}, |R| = {mod})")
     A = G[:, k:]
-    sets = [A.T]  # per information set its B^t: B^t m^t is the other half of message m
-    if not (G @ G.T % mod).any():  # G G^t = I + A A^t = 0 iff A A^t = -I
-        sets.append(A)  # B = A^t: the set's -A^t up to a sign, which no weight sees
-    s = len(sets)
+    self_dual = not (G @ G.T % mod).any()  # G G^t = I + A A^t = 0 iff A A^t = -I
+    # per information set its B^t: B^t m^t is the other half of message m
+    sets = [A.T, A] if self_dual and not _has_mirror(spec) else [A.T]
     columns = np.concatenate(sets, dtype=np.float32)
     table = tuple(wtable.tolist())
     weights, index = _product_weights(table, k)
@@ -199,22 +203,17 @@ def _min_weight(spec: CodeSpec, wtable: np.ndarray, early_abort_at: int = 0) -> 
     best = max(table) * 2 * k + 1
     for t in range(1, max(table) * k + 1):
         layer = _representatives(table, k, t, group)
-        blocks = [layer[lo : lo + rows] for lo in range(0, len(layer), rows)]
-        if len(blocks) <= 1:  # one product scores the round on every set
-            passes = [(columns, s * t + s)]
-        else:
-            passes = [(columns[i * k : (i + 1) * k], s * t + i + 1) for i in range(s)]
-        for part, bound in passes:
-            for block in blocks:
-                product = (part @ block.T.astype(np.float32)).astype(index)
-                other = weights.take(product).reshape(-1, k, len(block))
-                block_min = t + int(other.sum(axis=1, dtype=weights.dtype).min())
-                if block_min < best:
-                    best = block_min
-                    if best < early_abort_at:
-                        return best
-            if best <= bound:
-                return best
+        for lo in range(0, len(layer), rows):
+            block = layer[lo : lo + rows]
+            product = (columns @ block.T.astype(np.float32)).astype(index)
+            other = weights.take(product).reshape(-1, k, len(block))
+            block_min = t + int(other.sum(axis=1, dtype=weights.dtype).min())
+            if block_min < best:
+                best = block_min
+                if best < early_abort_at:
+                    return best
+        if best <= (2 * t + 2 if self_dual else t + 1):
+            return best
     return best
 
 

@@ -220,11 +220,11 @@ def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
 
 def read_results(path: str) -> tuple[list[tuple[int, str]], tuple[int, str] | None]:
     """The record lines of a results file, numbered from 1 as in the file (blank and
-    `#` lines skipped), and its summary, the last line if it is a `#` line, numbered."""
+    `#` lines skipped), and its summary, the last non-blank line if it is a `#` line."""
     with open(path, encoding="utf-8") as fh:
-        lines = list(map(str.strip, fh))
-    records = [(i, line) for i, line in enumerate(lines, 1) if line and not line.startswith("#")]
-    return records, (len(lines), lines[-1]) if lines and lines[-1].startswith("#") else None
+        lines = [(i, line) for i, line in enumerate(map(str.strip, fh), 1) if line]
+    records = [(i, line) for i, line in lines if not line.startswith("#")]
+    return records, lines[-1] if lines and lines[-1][1].startswith("#") else None
 
 
 def read_summary(summary: str, records: list[SearchRecord]) -> SearchResult:

@@ -20,11 +20,20 @@ from alphacirc import (
     run_search,
 )
 from alphacirc import distance
-from alphacirc.distance import _automorphisms, _message_blocks, _representatives, lee_table
+from alphacirc.circulant import self_dual_mask
+from alphacirc.distance import (
+    _automorphisms,
+    _has_mirror,
+    _message_blocks,
+    _representatives,
+    lee_table,
+)
 from alphacirc.search import FAMILIES
 from helpers import hamming_weight, lee_weight
 
 Z2 = ChainRing(2, 1)
+F3 = ChainRing(3, 1)
+F5 = ChainRing(5, 1)
 Z4 = ChainRing(2, 2)
 Z8 = ChainRing(2, 3)
 Z9 = ChainRing(3, 2)
@@ -209,22 +218,29 @@ class TestCertifierAtProductionSize:
             oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
             assert_certifier_matches(oracle, spec)
 
-    def test_one_product_and_split_rounds(self, monkeypatch):
-        # with blocks of 64 messages at k = 12, the [24,12] certificate scores
-        # its first rounds on both information sets in one product and its
-        # last ones set by set, over several blocks
-        monkeypatch.setattr(distance, "_BLOCK_ENTRIES", 12 * 64)
-        _representatives.cache_clear()
+    def test_multi_block_rounds(self, monkeypatch):
+        # with blocks of a few messages the last rounds span several blocks, so
+        # the abort is checked block by block and the bound once per round: on
+        # one information set for the [24,12] Z4 record and for two Z9 lifts of
+        # odd d_Lee, and on both for a Z8 lift with no mirror
+        z4 = run_search(SearchConfig(ring=Z4, n=24, family="double-nega")).records[-1].lift
+        z9 = search_lifts("z9", 12, "double-nega")[2]
+        z8 = next(spec for spec in search_lifts("z8", 8, "bordered-circ")[2]
+                  if not _has_mirror(spec))
         try:
-            config = SearchConfig(ring=Z4, n=24, family="double-nega")
-            spec = run_search(config).records[-1].lift
-            table, group = tuple(lee_table(Z4).tolist()), _automorphisms(spec)
-            sizes = [len(_representatives(table, 12, t, group)) for t in range(1, 6)]
-            assert min(sizes) <= 64 < max(sizes)
-            G = generator_matrix(spec)
-            oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
-            assert_certifier_matches(oracle, spec)
-            assert min_hamming_distance(spec) == helpers.mitm_min_weight(G, 4, lee_table(Z4) != 0)
+            for spec, d, rows in [(z4, 12, 64), (z9[3], 7, 8), (z9[4], 9, 8), (z8, 6, 4)]:
+                monkeypatch.setattr(distance, "_BLOCK_ENTRIES", rows * spec.k)
+                _representatives.cache_clear()
+                table, group = tuple(lee_table(spec.ring).tolist()), _automorphisms(spec)
+                assert len(_representatives(table, spec.k, (d - 1) // 2, group)) > rows
+                assert min_lee_distance(spec) == d
+                G, mod, weights = generator_matrix(spec), spec.ring.size, lee_table(spec.ring)
+                if spec.ring == Z4:  # the bit-packed oracle, the fast one at k = 12
+                    oracle = lambda abort=None: helpers.mitm_min_lee_z4(G, abort)
+                else:
+                    oracle = lambda abort=None: helpers.mitm_min_weight(G, mod, weights, abort)
+                assert_certifier_matches(oracle, spec)
+                assert min_hamming_distance(spec) == helpers.mitm_min_weight(G, mod, weights != 0)
         finally:
             _representatives.cache_clear()
 
@@ -253,6 +269,82 @@ class TestCertifierAtProductionSize:
                 if sum(table[c] for c in m) == t
             ]
             assert sorted(rows) == expected
+
+
+def self_dual_specs(ring, alpha, k, bordered):
+    """Every self-dual spec of length 2k over the ring with this alpha."""
+    if bordered:
+        words = list(itertools.product(range(ring.size), repeat=k - 1))
+        borders = list(itertools.product(range(ring.size), repeat=3))
+        mask = self_dual_mask(ring, alpha, words, borders)
+        return [CodeSpec(ring, alpha, words[i], borders[b]) for i, b in zip(*np.nonzero(mask))]
+    words = list(itertools.product(range(ring.size), repeat=k))
+    mask = self_dual_mask(ring, alpha, words)
+    return [CodeSpec(ring, alpha, words[i]) for i in np.flatnonzero(mask)]
+
+
+def has_signed_reversal_mirror(spec):
+    """Whether some signed reversal J of the shifted coordinates (the first
+    coordinate of a bordered code stays, up to a sign) has A J A = -J, by
+    trying every reversal and every choice of signs."""
+    k, mod = spec.k, spec.ring.size
+    fixed = spec.border is not None
+    A = generator_matrix(spec)[:, k:]
+    r = k - fixed
+    mirrors = []
+    for c in range(r):
+        perm = list(range(fixed)) + [fixed + (c - i) % r for i in range(r)]
+        for signs in itertools.product((1, -1), repeat=k):
+            J = np.zeros((k, k), dtype=np.int64)
+            J[np.arange(k), perm] = signs
+            mirrors.append(J)
+    J = np.array(mirrors)
+    return bool(((A @ J @ A + J) % mod == 0).all(axis=(1, 2)).any())
+
+
+class TestMirror:
+    """The certifier scores the right half only for a self-dual code with no mirror."""
+
+    def test_code_without_mirror_needs_its_second_set(self, monkeypatch):
+        # a self-dual [12,6] code over F5 (A A^t = -I) under a spec with no
+        # shift, so no mirror: its left half alone certifies 6, but d_Lee is 5
+        A = np.array([[4, 1, 4, 4, 3, 4], [3, 3, 0, 1, 1, 2], [0, 1, 2, 0, 2, 0],
+                      [2, 2, 2, 2, 2, 2], [4, 2, 0, 2, 4, 3], [3, 0, 0, 3, 0, 4]])
+        G = np.hstack([np.eye(6, dtype=np.int64), A])
+        assert not ((G @ G.T) % 5).any()
+        spec = CodeSpec(F5, 2, (0,) * 6)
+        monkeypatch.setattr(distance, "generator_matrix", lambda _: G)
+        assert not _has_mirror(spec)
+        table = lee_table(F5)
+        oracle = lambda abort=None: helpers.mitm_min_weight(G, 5, table, abort)
+        assert oracle() == 5
+        assert_certifier_matches(oracle, spec)
+
+    def test_one_set_only_where_a_mirror_exists(self):
+        # every self-dual spec of these small lengths that the certifier
+        # scores on its left half alone has a signed reversal J with A J A = -J
+        checked = 0
+        for ring, kmax in [(Z2, 8), (F3, 6), (Z4, 6), (Z8, 4), (Z9, 4)]:
+            for alpha in sorted({1, ring.size - 1}):
+                for bordered in (False, True) if alpha == 1 else (False,):
+                    for k in range(1 + bordered, kmax + 1):
+                        for spec in self_dual_specs(ring, alpha, k, bordered):
+                            if _has_mirror(spec):
+                                assert has_signed_reversal_mirror(spec), spec
+                                checked += 1
+        assert checked > 700
+
+    def test_z8_bordered_lifts_without_mirror(self):
+        # delta = 3 gamma or 5 gamma leaves a Z8 n = 8 bordered-circ lift with
+        # no mirror, so it is scored on both sets; test_generic_rings checks
+        # every one of these lifts against the oracle
+        lifts = search_lifts("z8", 8, "bordered-circ")[2]
+        without = [spec for spec in lifts if not _has_mirror(spec)]
+        assert 2 * len(without) == len(lifts) == 128
+        for spec in without:
+            _, gamma, delta = spec.border
+            assert delta in (3 * gamma % 8, 5 * gamma % 8) and delta not in (gamma, -gamma % 8)
+            assert not has_signed_reversal_mirror(spec), spec
 
 
 @functools.cache

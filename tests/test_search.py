@@ -639,13 +639,13 @@ class TestCli:
     )
     def test_verify_fails_an_edited_summary(self, old, new, tmp_path, capsys, monkeypatch):
         # the records hold, so the summary line is the one failure; checking it
-        # computes no distance (each record is one min_lee_distance call)
+        # computes no distance (each record is one min_lee_distance call).  A
+        # blank line after the summary does not hide it.
         records = tmp_path / "records.txt"
         assert main(["search", "--ring", "z4", "--length", "16", "--family", "double-nega",
                      "--out", str(records)]) == 0
         *lines, summary = records.read_text().splitlines()
         assert len(lines) == 2 and old in summary
-        records.write_text("\n".join([*lines, summary.replace(old, new)]) + "\n")
         capsys.readouterr()
         lee_calls = []
 
@@ -654,11 +654,14 @@ class TestCli:
             return min_lee_distance(spec, early_abort_at)
 
         monkeypatch.setattr(alphacirc.search, "min_lee_distance", counted)
-        assert main(["verify", "--in", str(records)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"FAIL line 3: {summary.replace(old, new)}\n"
-        assert captured.out == "checked 2 records, 1 failures\n"
-        assert len(lee_calls) == 2
+        for end in ("\n", "\n\n"):
+            records.write_text("\n".join([*lines, summary.replace(old, new)]) + end)
+            lee_calls.clear()
+            assert main(["verify", "--in", str(records)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"FAIL line 3: {summary.replace(old, new)}\n"
+            assert captured.out == "checked 2 records, 1 failures\n"
+            assert len(lee_calls) == 2
 
     def test_verify_fails_swapped_records(self, tmp_path, capsys):
         # each record holds on its own; a pruned file's records rise to the best
