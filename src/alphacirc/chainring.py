@@ -60,12 +60,6 @@ class ChainRing:
             raise ChainRingError(f"unknown ring {name!r}; known: {sorted(_NAMES)}") from None
         return cls(p, m)
 
-    def elem(self, value: int) -> int:
-        """Checked constructor for a ring element."""
-        if not 0 <= value < self.size:
-            raise ChainRingError(f"{value} is not a residue in [0, {self.size})")
-        return value
-
     def is_unit(self, x: int) -> bool:
         return gcd(x % self.size, self.p) == 1
 

@@ -42,9 +42,9 @@ class CodeSpec:
             raise ChainRingError("generating vector must be non-empty")
         if self.border is not None and len(self.border) != 3:
             raise ValueError(f"a border is (beta, gamma, delta), got {self.border!r}")
-        if not 0 <= min(self.coords) <= max(self.coords) < size:  # the loop names the culprit
-            for c in self.coords:
-                self.ring.elem(c)
+        if not 0 <= min(self.coords) <= max(self.coords) < size:
+            bad = next(c for c in self.coords if not 0 <= c < size)
+            raise ChainRingError(f"{bad} is not a residue in [0, {size})")
 
     @property
     def coords(self) -> tuple[int, ...]:
@@ -112,18 +112,14 @@ def generator_matrix(spec: CodeSpec) -> np.ndarray:
     return ext[_layout(len(spec.a), spec.border is not None)]
 
 
-def gram_matrix(spec: CodeSpec) -> np.ndarray:
-    G = generator_matrix(spec)
-    return G @ G.T % spec.ring.size
-
-
 def is_self_dual(spec: CodeSpec) -> bool:
     """Self-duality check: G G^t = 0, i.e. cir(a) cir(a)^t = -I_k for doubles.
 
     The left half of G is I_k, so the code is free of rank k = n/2 and
     self-orthogonality already implies self-duality.
     """
-    return not gram_matrix(spec).any()
+    G = generator_matrix(spec)
+    return not (G @ G.T % spec.ring.size).any()
 
 
 def self_dual_mask(

@@ -98,9 +98,8 @@ def _cmd_verify(args) -> int:
         if not ok:
             bad += 1
             print(f"FAIL line {number}: {line}", file=sys.stderr)
-    # a record line that did not decode has failed already; a last `#` line
-    # without `best_d_lee=` is a comment, and other `#` lines are too
-    if summary is not None and "best_d_lee=" in summary[1] and len(records) == len(lines):
+    # a record line that did not decode has failed already
+    if summary is not None and len(records) == len(lines):
         try:
             read_summary(summary[1], records)
         except ValueError:

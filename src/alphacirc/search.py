@@ -116,14 +116,20 @@ class SearchConfig:
 
 @dataclass
 class SearchRecord:
-    """One evaluated self-dual lift and its base code; serializes to a single
-    results line."""
+    """One evaluated self-dual lift; serializes to a single results line.
+    Its base is not stored but derived, the lift mod p over the residue
+    field, so no record holds a base its lift does not reduce to."""
 
     family: str
-    base: CodeSpec
     lift: CodeSpec
     d_lee: int
     d_ham_base: int
+    base: CodeSpec = field(init=False)
+
+    def __post_init__(self) -> None:
+        p = self.lift.ring.p
+        coords = [c % p for c in self.lift.coords]
+        self.base = self.lift.with_coords(ChainRing(p, 1), self.lift.alpha % p, coords)
 
     def to_line(self) -> str:
         lift = self.lift
@@ -136,8 +142,8 @@ class SearchRecord:
 
     @classmethod
     def from_line(cls, line: str) -> "SearchRecord":
-        """Decode a line into its codes: the lift over the named ring, and the
-        base over the residue field with the lift's border mod p."""
+        """Decode a line into its codes: the lift over the named ring, whose
+        reduction mod p must be the line's base."""
         try:
             family, ring_name, n, *pairs = line.split()
             kv = dict(pair.split("=", 1) for pair in pairs)
@@ -146,9 +152,10 @@ class SearchRecord:
             lift = family_spec(family, ring, parse_vector(kv["lift"]), border)
             if lift.n != int(n):
                 raise ValueError(f"n = {n} is not the lift's length {lift.n}")
-            base_border = None if border is None else tuple(b % ring.p for b in border)
-            base = family_spec(family, ChainRing(ring.p, 1), parse_vector(kv["base"]), base_border)
-            return cls(family, base, lift, int(kv["d_lee"]), int(kv["d_ham_base"]))
+            rec = cls(family, lift, int(kv["d_lee"]), int(kv["d_ham_base"]))
+            if parse_vector(kv["base"]) != rec.base.a:
+                raise ValueError(f"base={kv['base']} is not the lift mod {ring.p}")
+            return rec
         except (ValueError, KeyError) as exc:
             raise ValueError(f"malformed record line {line!r}: {exc}") from None
 
@@ -158,10 +165,15 @@ class SearchResult:
     """The state of a search: `run_search` updates it in place, writes it as
     a results file to the checkpoint after each base and returns it."""
 
-    best_d_lee: int = 0
     all_records: list[SearchRecord] = field(default_factory=list)
     bases_examined: int = 0
     lifts_examined: int = 0
+
+    @property
+    def best_d_lee(self) -> int:
+        """The d_Lee of the last record, or 0 when there is none: every record
+        raised the best (pruned) or raised or tied it (census)."""
+        return self.all_records[-1].d_lee if self.all_records else 0
 
     @property
     def records(self) -> list[SearchRecord]:
@@ -220,20 +232,23 @@ def _sorted_bases(cfg: SearchConfig) -> list[tuple[CodeSpec, int]]:
 
 def read_results(path: str) -> tuple[list[tuple[int, str]], tuple[int, str] | None]:
     """The record lines of a results file, numbered from 1 as in the file (blank and
-    `#` lines skipped), and its summary, the last non-blank line if it is a `#` line."""
+    `#` lines skipped), and its summary, the last non-blank line if it is a `#` line
+    that holds `best_d_lee=`.  Any other `#` line is a comment."""
     with open(path, encoding="utf-8") as fh:
         lines = [(i, line) for i, line in enumerate(map(str.strip, fh), 1) if line]
     records = [(i, line) for i, line in lines if not line.startswith("#")]
-    return records, lines[-1] if lines and lines[-1][1].startswith("#") else None
+    last = lines[-1][1] if lines else ""
+    return records, lines[-1] if last.startswith("#") and "best_d_lee=" in last else None
 
 
 def read_summary(summary: str, records: list[SearchRecord]) -> SearchResult:
     """The search state that the summary line of a results file claims for its
     decoded `records`.  Raises ValueError unless the line is the one that
-    search writes over them (so `witnesses=` counts the records at the best),
-    every record has the search's family, ring and n, each record's d_Lee is at
-    least `prune` above the one before, the last is at the best, and there are
-    no more records than examined lifts.  Makes no distance call."""
+    search writes over them (so `best_d_lee=` is the last record's and
+    `witnesses=` counts the records at it), every record has the search's
+    family, ring and n, each record's d_Lee is at least `prune` above the one
+    before, and there are no more records than examined lifts.  Makes no
+    distance call."""
     # a missing field reads as "", which no ring, family or count parses
     kv = defaultdict(str, (f.split("=", 1) for f in summary.removeprefix("# ").split()))
     cfg = SearchConfig(ChainRing.from_name(kv["ring"]), int(kv["n"]), kv["family"],
@@ -245,7 +260,6 @@ def read_summary(summary: str, records: list[SearchRecord]) -> SearchResult:
             or any((r.family, r.lift.ring, r.lift.n) != (cfg.family, cfg.ring, cfg.n)
                    for r in records)
             or not all(b >= a + cfg.prune for a, b in zip(values, values[1:]))
-            or values[-1:] not in ([], [result.best_d_lee])
             or result.lifts_examined < len(values)):
         raise ValueError(f"summary {summary!r} is not what its search writes over its records")
     return result
@@ -282,9 +296,8 @@ def run_search(cfg: SearchConfig) -> SearchResult:
             need = result.best_d_lee + cfg.prune
             val = min_lee_distance(lift, early_abort_at=need)
             if val >= need:
-                result.best_d_lee = val
-                result.all_records.append(SearchRecord(cfg.family, base, lift, val, d_ham))
-                if cfg.prune and lee_factor * d_ham <= result.best_d_lee:
+                result.all_records.append(SearchRecord(cfg.family, lift, val, d_ham))
+                if cfg.prune and lee_factor * d_ham <= val:
                     break  # no other lift of this base can beat d
         result.bases_examined += 1
         if cfg.checkpoint is not None:
@@ -298,11 +311,11 @@ def run_search(cfg: SearchConfig) -> SearchResult:
 
 
 def _summary_line(cfg: SearchConfig, result: SearchResult) -> str:
-    """`# <fingerprint>`, then `name=value` per int field of the result, with
-    `witnesses=` after the first."""
+    """`# <fingerprint> best_d_lee=... witnesses=...`, then `name=value` per int
+    field of the result."""
     counts = [f"{f.name}={getattr(result, f.name)}" for f in fields(result) if f.type == "int"]
-    counts.insert(1, f"witnesses={len(result.records)}")
-    return f"# {cfg.fingerprint()} {' '.join(counts)}"
+    return (f"# {cfg.fingerprint()} best_d_lee={result.best_d_lee}"
+            f" witnesses={len(result.records)} {' '.join(counts)}")
 
 
 def format_results(cfg: SearchConfig, result: SearchResult) -> str:
@@ -322,12 +335,10 @@ def write_records(path: str, cfg: SearchConfig, result: SearchResult) -> None:
 
 
 def verify_record(rec: SearchRecord) -> bool:
-    """Re-check the claims of a decoded record: self-duality of the lift, its
-    projection onto the base vector, and both recorded distances.  The base
-    border is the lift's mod p, so its projection is not checked independently."""
+    """Re-check the claims of a record: self-duality of the lift and both
+    recorded distances.  Its base is the lift mod p by construction, and
+    `from_line` rejects a line whose base is not."""
     if not is_self_dual(rec.lift):
-        return False
-    if tuple(c % rec.base.ring.p for c in rec.lift.a) != rec.base.a:
         return False
     if min_lee_distance(rec.lift) != rec.d_lee:
         return False

@@ -21,7 +21,6 @@ from alphacirc import (
     is_doubly_even,
     is_self_dual,
 )
-from alphacirc.circulant import gram_matrix
 from alphacirc.equivalence import (
     canonical_form,
     canonical_form_bordered,
@@ -156,6 +155,11 @@ def brute_force_lift_vectors(base: CodeSpec, ring: ChainRing, alpha: int) -> set
     return found
 
 
+def _gram(spec: CodeSpec) -> np.ndarray:
+    G = generator_matrix(spec)
+    return G @ G.T % spec.ring.size
+
+
 def lift_system_oracle(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     """The lift system of the section lift `spec0` from the whole upper Gram
     triangle: one equation per entry (i, j), i <= j.  Column v is (Gram of
@@ -166,7 +170,7 @@ def lift_system_oracle(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     mod, p = ring.size, ring.p
     ideal_gen = p ** (ring.m - 1)
     upper = np.triu_indices(spec0.k)
-    gram0 = gram_matrix(spec0)[upper]
+    gram0 = _gram(spec0)[upper]
     outside = np.flatnonzero(gram0 % ideal_gen)
     if outside.size:
         e = outside[0]
@@ -177,7 +181,7 @@ def lift_system_oracle(spec0: CodeSpec) -> tuple[np.ndarray, np.ndarray]:
     for v in range(len(spec0.coords)):
         coords = list(spec0.coords)
         coords[v] = (coords[v] + ideal_gen) % mod
-        gram_v = gram_matrix(spec0.with_coords(ring, spec0.alpha, coords))[upper]
+        gram_v = _gram(spec0.with_coords(ring, spec0.alpha, coords))[upper]
         # both Grams lie in I, so the difference divides exactly
         columns.append((gram_v - gram0) // ideal_gen % p)
     return np.stack(columns, axis=1), -(gram0 // ideal_gen) % p

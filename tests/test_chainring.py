@@ -39,13 +39,6 @@ class TestDescriptor:
         with pytest.raises(ChainRingError):
             ChainRing(2, 0)
 
-    def test_elem_checked(self):
-        assert Z4.elem(3) == 3
-        with pytest.raises(ChainRingError):
-            Z4.elem(4)
-        with pytest.raises(ChainRingError):
-            Z4.elem(-1)
-
     def test_units(self):
         assert [x for x in range(4) if Z4.is_unit(x)] == [1, 3]
         assert [x for x in range(9) if Z9.is_unit(x)] == [1, 2, 4, 5, 7, 8]

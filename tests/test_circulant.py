@@ -43,6 +43,13 @@ class TestCir:
     def test_constant_one_is_identity(self):
         assert np.array_equal(cir((1, 0), 1, 2), np.eye(2))
 
+    def test_rejects_a_coordinate_outside_the_ring(self):
+        # the error names the first coordinate, core then border, that is no residue
+        for a, border, bad in [((3, 4, -1), None, "4"), ((0, -1), None, "-1"),
+                               ((0, 1), (1, 2, 9), "9")]:
+            with pytest.raises(ChainRingError, match=rf"^{bad} is not a residue in \[0, 4\)$"):
+                CodeSpec(Z4, 1, a, border)
+
     def test_rejects_non_unit_alpha(self):
         # 7 and -1 reduce to the unit 3, but are no residues of Z4
         for alpha in (2, 7, -1):

@@ -273,11 +273,18 @@ class TestRunSearch:
 
     @pytest.mark.parametrize("ring, best", [("z9", 9), ("z8", 12)])
     def test_base_cutoff_holds_over_every_ring(self, ring, best, tmp_path):
-        # a running best of 8 must not cut the bases with d_Ham = 4: over
-        # Z9 and Z8 their lifts can reach 3 d_Ham and 4 d_Ham, not just 2 d_Ham
+        # a running best of 8 must not cut the second base (d_Ham 3 over Z9,
+        # 4 over Z8): its lifts can reach 3 d_Ham and 4 d_Ham, not just 2 d_Ham.
+        # The best is planted as a checkpoint of the first base whose one
+        # record, the base's first lift, claims d_Lee 8.
         config = cfg(ring=ChainRing.from_name(ring), n=16, checkpoint=str(tmp_path / "state.txt"))
-        write_records(config.checkpoint, config, SearchResult(best_d_lee=8, bases_examined=1))
-        assert run_search(config).best_d_lee == best
+        base, d_ham = alphacirc.search._sorted_bases(config)[0]
+        lift = next(nested_lift(base, config.ring, config.alpha))
+        record = SearchRecord(config.family, lift, 8, d_ham)
+        planted = SearchResult([record], bases_examined=1, lifts_examined=1)
+        write_records(config.checkpoint, config, planted)
+        result = run_search(config)
+        assert result.all_records[0] == record and result.best_d_lee == best
 
     @pytest.mark.parametrize("ring, n", [("z8", 16), ("z9", 16), ("z9", 20)])
     @pytest.mark.parametrize("family", ["double-nega", "bordered-circ"])
@@ -456,6 +463,42 @@ class TestRunSearch:
         assert run_search(cfg(family="bordered-circ", checkpoint=str(ck))) == fresh
         assert ck.read_text() == text
 
+    def test_checkpoint_with_a_best_and_no_record_starts_over(self, tmp_path, capsys):
+        # the best is the last record's, so a claimed best of 12 with no record
+        # is not resumed: the Z4 n = 8 search still finds the table's 6
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        summary = ("# family=double-nega ring=z4 n=8 prune=1 best_d_lee=12 witnesses=0"
+                   " bases_examined=1 lifts_examined=40")
+        ck.write_text(summary + "\n")
+        assert main(["verify", "--in", str(ck)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"FAIL line 1: {summary}\n"
+        assert captured.out == "checked 0 records, 1 failures\n"
+        assert main(["search", "--ring", "z4", "--length", "8", "--family", "double-nega",
+                     "--checkpoint", str(ck), "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert "best_d_lee=6" in stdout.split() and "best_d_lee=12" not in stdout
+        assert stdout == out.read_text() == (GOLDEN / "z4-n8-double-nega.txt").read_text()
+
+    def test_checkpoint_with_a_base_that_is_not_its_lift_mod_p_starts_over(self, tmp_path,
+                                                                           capsys):
+        # one F_3 digit of line 2's base changed: the line does not decode, so
+        # the search starts over instead of copying it into --out
+        ck, out = tmp_path / "state.txt", tmp_path / "records.txt"
+        golden = (GOLDEN / "z9-n12-double-nega.txt").read_text(encoding="utf-8")
+        edited = golden.replace("base=0,1,1,1,2,1 lift=0,7", "base=2,1,1,1,2,1 lift=0,7")
+        assert edited != golden
+        ck.write_text(edited)
+        assert main(["search", "--ring", "z9", "--length", "12", "--family", "double-nega",
+                     "--checkpoint", str(ck), "--out", str(out)]) == 0
+        assert out.read_text() == ck.read_text() == golden
+        capsys.readouterr()
+        ck.write_text(edited)
+        assert main(["verify", "--in", str(ck)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("FAIL") == 1 and "FAIL line 2:" in captured.err
+        assert captured.out == "checked 2 records, 1 failures\n"
+
     def test_resumed_finished_checkpoint_is_rewritten(self, tmp_path):
         # a finished checkpoint with a blank and a `#` line added: resuming it
         # examines no base and still leaves the checkpoint equal to --out
@@ -533,6 +576,11 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         # k = 16 lift systems: 128 and 512 lifts of an F_2 base
         ("z4", 32, "double-nega"),
         ("z4", 32, "bordered-circ"),
+        # the n = 24 rows of the Z8 and Z9 table
+        ("z8", 24, "double-nega"),
+        ("z8", 24, "bordered-circ"),
+        ("z9", 24, "double-nega"),
+        ("z9", 24, "bordered-circ"),
     ],
 )
 def test_golden_results_file(ring, n, family, tmp_path):
@@ -555,12 +603,23 @@ class TestRecords:
         assert rec.lift == CodeSpec(Z4, 3, (2, 1, 1, 3))
         assert (rec.d_lee, rec.d_ham_base) == (6, 4)
         assert rec.to_line() == self.LINE
-        # a bordered base takes the lift's border mod p (decoding checks no claim)
+        # a bordered base is the lift's core and border mod p
         line = "bordered-circ z9 8 base=0,1,2 lift=3,4,8 border=4,5,6 d_lee=4 d_ham_base=3"
         rec = SearchRecord.from_line(line)
         assert rec.base == CodeSpec(ChainRing(3, 1), 1, (0, 1, 2), (1, 2, 0))
         assert rec.lift == CodeSpec(ChainRing(3, 2), 1, (3, 4, 8), (4, 5, 6))
         assert rec.to_line() == line
+
+    def test_a_record_stores_no_derived_fact(self):
+        # the best is the last record's d_Lee and a record's base its lift mod p
+        assert [f.name for f in dataclasses.fields(SearchResult)] == [
+            "all_records", "bases_examined", "lifts_examined"]
+        assert [f.name for f in dataclasses.fields(SearchRecord) if f.init] == [
+            "family", "lift", "d_lee", "d_ham_base"]
+        rec = SearchRecord("double-nega", CodeSpec(Z4, 3, (2, 1, 1, 3)), 6, 4)
+        assert rec.base == CodeSpec(ChainRing(2, 1), 1, (0, 1, 1, 1))
+        assert SearchResult().best_d_lee == 0
+        assert SearchResult([dataclasses.replace(rec, d_lee=4), rec]).best_d_lee == 6
 
     def test_malformed(self):
         with pytest.raises(ValueError):
@@ -663,6 +722,19 @@ class TestCli:
             assert captured.out == "checked 2 records, 1 failures\n"
             assert len(lee_calls) == 2
 
+    def test_verify_fails_a_best_without_records(self, tmp_path, capsys):
+        # Z9 n = 6 double-circ has no self-dual base, so no record: its best
+        # is 0, and a summary that claims 10 is not the one its search writes
+        records = tmp_path / "records.txt"
+        golden = (GOLDEN / "z9-n6-double-circ.txt").read_text(encoding="utf-8")
+        summary = golden.strip().replace(" best_d_lee=0 ", " best_d_lee=10 ")
+        assert summary != golden.strip()
+        records.write_text(summary + "\n")
+        assert main(["verify", "--in", str(records)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"FAIL line 1: {summary}\n"
+        assert captured.out == "checked 0 records, 1 failures\n"
+
     def test_verify_fails_swapped_records(self, tmp_path, capsys):
         # each record holds on its own; a pruned file's records rise to the best
         records = tmp_path / "records.txt"
@@ -753,8 +825,10 @@ class TestCli:
             "triple-circ z4 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4",
             "double-nega z27 8 base=0,1,1,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4",
             "double-nega z4 8 base=0,1,2,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4",
+            "double-nega z4 8 base=1,1,1,1 lift=2,1,1,3 border=- d_lee=6 d_ham_base=4",
         ],
-        ids=["length-not-the-lifts", "unknown-family", "unknown-ring", "base-digit-not-below-p"],
+        ids=["length-not-the-lifts", "unknown-family", "unknown-ring", "base-digit-not-below-p",
+             "base-not-the-lift-mod-p"],
     )
     def test_verify_fails_a_line_the_decoder_rejects(self, tmp_path, capsys, bad):
         records = tmp_path / "records.txt"
@@ -783,7 +857,7 @@ class TestCli:
     def test_verify_fails_a_base_the_lift_does_not_reduce_to(self, tmp_path, capsys,
                                                              monkeypatch):
         # one F_3 digit of line 2's base changed: its lift still reduces to the
-        # old base, so line 2 fails at the projection, before its d_Lee is
+        # old base, so line 2 does not decode and fails before its d_Lee is
         # computed (the changed base also has another d_Ham, which the
         # distance checks would catch too)
         records = tmp_path / "records.txt"
