@@ -61,16 +61,21 @@ CASES = {
     # takes seconds, an n = 40 search seconds (over a minute when every tie
     # was certified), an n = 48 one minutes and about half a gigabyte; the
     # Z9 n = 24 searches take seconds and their records include exact
-    # certificates of odd d_Lee (15, 17), and Z9 n = 28 `bordered-circ` (best
-    # d_Lee 19, odd) takes about 20 seconds
+    # certificates of odd d_Lee (15, 17), Z9 n = 28 `double-nega` (best d_Lee
+    # 20, alpha = -1 over F3 at k = 14) and `bordered-circ` (best d_Lee 19,
+    # odd) about 20 seconds each, Z8 n = 32 `double-nega` about a minute, and
+    # Z4 n = 56 `double-nega` a few minutes and about a third of a gigabyte
     "z4-n32-double-nega-census": _search_case("z4", 32, "double-nega", "--no-prune"),
     "z4-n32-bordered-circ-census": _search_case("z4", 32, "bordered-circ", "--no-prune"),
     "z4-n40-double-nega": _search_case("z4", 40, "double-nega"),
     "z4-n40-bordered-circ": _search_case("z4", 40, "bordered-circ"),
     "z4-n48-double-nega": _search_case("z4", 48, "double-nega"),
     "z4-n48-bordered-circ": _search_case("z4", 48, "bordered-circ"),
+    "z4-n56-double-nega": _search_case("z4", 56, "double-nega"),
+    "z8-n32-double-nega": _search_case("z8", 32, "double-nega"),
     "z9-n24-double-nega": _search_case("z9", 24, "double-nega"),
     "z9-n24-bordered-circ": _search_case("z9", 24, "bordered-circ"),
+    "z9-n28-double-nega": _search_case("z9", 28, "double-nega"),
     "z9-n28-bordered-circ": _search_case("z9", 28, "bordered-circ"),
 }
 DEFAULT_CASES = ["z4-n32-double-nega", "z4-n32-bordered-circ", "z4-n40-double-nega-certificate"]

@@ -10,7 +10,7 @@ from .circulant import (
     parse_vector,
 )
 from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
-from .equivalence import canonical_form, necklaces
+from .equivalence import canonical_form
 from .lifting import (
     BaseNotSelfDual,
     build_lift_system,

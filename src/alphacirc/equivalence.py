@@ -1,5 +1,6 @@
 """The equivalence group on circulant generating vectors, orbit canonical
-forms, and necklace enumeration.
+forms, and the words least among their alpha-shifts (`_shift_leaders`), the
+base candidates: the alpha-shift is in the group, so each orbit holds one.
 
 The paper defines equivalence by monomial pairs (N, M) acting on circulant
 matrices by A -> N^{-1} A M.  The pairs used here (shifts, the scalar -1 and
@@ -154,22 +155,30 @@ def canonical_form_bordered(spec: CodeSpec) -> CodeSpec:
     return spec.with_coords(spec.ring, spec.alpha, _least_image(spec))
 
 
-def necklaces(k: int, q: int, prefixes: bool = False) -> Iterator[tuple[int, ...]]:
-    """The least rotation of every length-k word over {0..q-1}, in lex order;
-    with `prefixes`, every prenecklace (length-k prefix of a necklace).
-
-    Duval's iteration visits the Lyndon words of length at most k in lex
-    order; each one repeated and cut to length k is a prenecklace, and a
-    necklace when its length divides k.
+def _shift_leaders(k: int, q: int, alpha: int, block: int) -> Iterator[np.ndarray]:
+    """The length-k words over {0..q-1} least among their alpha-shifts (by
+    `shift_right`), in lex order, in blocks of uint8 rows.  A word is coded as
+    the base-q integer it spells, index 0 first, so its alpha-shift spells
+    (alpha (w mod q) mod q) q^(k-1) + (w div q).  A block is the leaders among
+    the q^b <= `block` words that share a prefix of length k - b; each prefix
+    of a leader is a prenecklace, each suffix at least the prefix of its
+    length, so only such prefixes, listed in chunks of `block`, head a block.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    w = [0]
-    while w:
-        period, w = len(w), (w * (k // len(w) + 1))[:k]
-        if prefixes or k % period == 0:
-            yield tuple(w)
-        while w and w[-1] == q - 1:
-            w.pop()
-        if w:
-            w[-1] += 1
+    if q**k >= 2**63:
+        raise ValueError(f"{q}^{k} words do not fit int64 codes")
+    b = next(b for b in range(k, -1, -1) if q**b <= block)
+    top = alpha * np.arange(q, dtype=np.int64) % q * q ** (k - 1)
+    places = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    for start in range(0, q ** (k - b), block):
+        heads = np.arange(start, min(start + block, q ** (k - b)), dtype=np.int64)
+        for i in range(1, k - b):
+            heads = heads[heads % q ** (k - b - i) >= heads // q**i]
+        for head in heads.tolist():
+            words = shifted = head * q**b + np.arange(q**b, dtype=np.int64)
+            for _ in range(k * (1 if alpha % q == 1 else 2) - 1):
+                quot, rem = np.divmod(shifted, q)
+                shifted = top[rem] + quot
+                least = shifted >= words  # drop the words a shift undercuts
+                words, shifted = words[least], shifted[least]
+            if len(words):
+                yield (words[:, None] // places % q).astype(np.uint8)

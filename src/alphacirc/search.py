@@ -23,12 +23,12 @@ from dataclasses import dataclass, field, fields
 from .chainring import ChainRing, ChainRingError
 from .circulant import CodeSpec, format_vector, is_self_dual, parse_vector, self_dual_mask
 from .distance import is_doubly_even, min_hamming_distance, min_lee_distance
-from .equivalence import canonical_form, canonical_form_bordered, necklaces
+from .equivalence import _shift_leaders, canonical_form, canonical_form_bordered
 from .lifting import nested_lift
 
 FAMILIES = ("double-nega", "double-circ", "bordered-circ")
 
-# Candidates per sieve block: the block arrays stay around a megabyte at k = 32.
+# Words per candidate block: the block arrays stay around a megabyte at k = 32.
 _BLOCK = 4096
 
 
@@ -186,39 +186,29 @@ class SearchResult:
 def enumerate_base_codes(cfg: SearchConfig) -> list[CodeSpec]:
     """Canonical representatives of the self-dual base codes over F_q.
 
-    Candidates are the necklaces (least rotations) of the circulant part,
-    crossed with every border for bordered families, which always have
-    alpha = 1.  With alpha = 1 rotation is in the group, so every orbit
-    contains a candidate.  For double-nega over odd p, alpha = -1 and the
-    candidates are the prenecklaces: the alpha-shifts of w are the length-k
-    windows of the rotations of (w | alpha w), so the least word of each
-    alpha-shift orbit starts the necklace of (w | alpha w), which makes it a
-    prenecklace, and every orbit of the group, which holds the alpha-shift,
-    contains a candidate.
-
-    The candidates are sieved in blocks of `_BLOCK` by `self_dual_mask`: the
-    Gram matrix of the alpha-circulant part is alpha-circulant, so the row-0
-    autocorrelations c_j decide self-duality (c_0 = -1, c_j = 0 for doubles),
-    and a bordered core with border (beta, gamma, delta) must also satisfy
-    1 + beta^2 + (k-1) gamma^2 = 0 and beta delta + gamma sum(core) = 0, with
-    c_0 = -1 - delta^2 and c_j = -delta^2.  Only the survivors become specs;
-    targets over Z_{2^m}, m >= 2, additionally require a doubly-even base (a
-    free self-dual code over them reduces mod 4 to a free self-dual Z4 code).
-    They are deduplicated by canonical form in candidate order (word, then
-    border, both lexicographic).
+    Candidates are the words least among their alpha-shifts (`_shift_leaders`),
+    crossed with every border for bordered families (alpha = 1).  The
+    alpha-shift is in the group, so every orbit holds a candidate.  Each block
+    of them is sieved by `self_dual_mask`: the Gram matrix of the
+    alpha-circulant part is alpha-circulant, so the row-0 autocorrelations c_j
+    decide self-duality (c_0 = -1, c_j = 0 for doubles), and a bordered core
+    with border (beta, gamma, delta) must also satisfy 1 + beta^2 + (k-1)
+    gamma^2 = 0 and beta delta + gamma sum(core) = 0, with c_0 = -1 - delta^2
+    and c_j = -delta^2.  Only the survivors become specs; targets over
+    Z_{2^m}, m >= 2, additionally require a doubly-even base (a free self-dual
+    code over them reduces mod 4 to a free self-dual Z4 code).  They are
+    deduplicated by canonical form in candidate order (word, then border, both
+    lexicographic), and a canonical form is a candidate, the first of its class.
     """
     ring = cfg.base_ring()
     alpha = cfg.alpha % ring.p
-    if cfg.bordered:
-        words = necklaces(cfg.k - 1, ring.p)
-        borders = list(itertools.product(range(ring.p), repeat=3))
-    else:
-        words, borders = necklaces(cfg.k, ring.p, prefixes=alpha != 1), None
+    borders = list(itertools.product(range(ring.p), repeat=3)) if cfg.bordered else None
     reps: dict[CodeSpec, None] = {}  # an insertion-ordered set
-    while block := list(itertools.islice(words, _BLOCK)):
+    for block in _shift_leaders(cfg.k - cfg.bordered, ring.p, alpha, _BLOCK):
         mask = self_dual_mask(ring, alpha, block, borders).reshape(len(block), -1)
         for i, b in zip(*mask.nonzero()):
-            spec = CodeSpec(ring, alpha, block[i], None if borders is None else borders[b])
+            spec = CodeSpec(ring, alpha, tuple(block[i].tolist()),
+                            None if borders is None else borders[b])
             if cfg.doubly_even and not is_doubly_even(spec):
                 continue
             reps[canonical_form(spec) if borders is None else canonical_form_bordered(spec)] = None

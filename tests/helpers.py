@@ -303,7 +303,7 @@ def enumerate_base_codes_oracle(cfg: SearchConfig) -> list[CodeSpec]:
     force, crossed with every border, or for every word when alpha != 1 and
     rotation is not in the group.  The first candidate of each orbit in
     lexicographic order is its least word, so the representatives come in
-    the order of the fast walk."""
+    the order of the fast enumeration."""
     ring = cfg.base_ring()
     alpha = cfg.alpha % ring.p
     need_doubly_even = cfg.ring.p == 2 and cfg.ring.m >= 2

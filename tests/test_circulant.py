@@ -181,7 +181,7 @@ class TestSelfDualMask:
         ids=["f2", "f3", "f3-nega", "z4", "z4-nega"],
     )
     def test_matches_is_self_dual_on_every_word(self, ring, alpha, max_k):
-        # every word, not only necklaces, and every border of every core
+        # every word, not only the base candidates, and every border of every core
         size = ring.size
         borders = list(itertools.product(range(size), repeat=3))
         for k in range(1, max_k + 1):

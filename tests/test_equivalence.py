@@ -14,11 +14,11 @@ from alphacirc import (
     canonical_form,
     cir,
     is_self_dual,
-    necklaces,
 )
 from alphacirc.equivalence import (
     _group,
     _least_images,
+    _shift_leaders,
     canonical_form_bordered,
     shift_right,
     substitute,
@@ -360,48 +360,32 @@ class TestGroupIsLeeIsometric:
             canonical_form(CodeSpec(Z8, 3, (1, 2, 0)))
 
 
-class TestNecklaces:
-    def test_k4_q2(self):
-        assert list(necklaces(4, 2)) == [
-            (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 1), (1, 1, 1, 1),
-        ]
+class TestShiftLeaders:
+    @staticmethod
+    def brute_force(k, q, alpha):
+        # every word that no power of the alpha-shift sends below itself
+        leaders = []
+        for w in itertools.product(range(q), repeat=k):
+            shifted = shift_right(w, alpha, q)
+            while shifted > w:
+                shifted = shift_right(shifted, alpha, q)
+            if shifted == w:
+                leaders.append(w)
+        return leaders
 
-    def test_k1(self):
-        assert list(necklaces(1, 2)) == [(0,), (1,)]
-        assert list(necklaces(1, 3)) == [(0,), (1,), (2,)]
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            list(necklaces(0, 2))
-
-    def test_k2(self):
-        assert list(necklaces(2, 2)) == [(0, 0), (0, 1), (1, 1)]
-
-    def test_count(self):
-        # number of necklaces: (1/k) sum_{d | k} phi(d) q^{k/d}
-        def phi(n):
-            return sum(1 for i in range(1, n + 1) if math.gcd(i, n) == 1)
-
-        for k, q in [(4, 2), (6, 2), (8, 2), (12, 2), (5, 3), (6, 3), (4, 4), (3, 9)]:
-            expected = sum(phi(d) * q ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
-            assert len(list(necklaces(k, q))) == expected
-
-    def test_words_are_least_rotations(self):
-        for k, q in [(6, 2), (4, 3)]:
-            for w in necklaces(k, q):
-                assert all(w <= w[i:] + w[:i] for i in range(1, k))
-
-    def test_prenecklaces_are_prefixes_of_necklaces(self):
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_matches_brute_force(self, q, sign):
+        # block sizes 1 and q run the prefix test on many blocks, q^k one block
+        alpha = sign % q
         for k in range(1, 7):
-            for q in (2, 3):
-                words = list(necklaces(k, q, prefixes=True))
-                assert words == sorted({w[:k] for w in necklaces(2 * k, q)})
+            expected = self.brute_force(k, q, alpha)
+            for block in (1, q, q**k):
+                got = [tuple(row) for rows in _shift_leaders(k, q, alpha, block)
+                       for row in rows.tolist()]
+                assert got == expected, (k, block)
 
-    def test_every_rotation_class_once_in_lex_order(self):
-        for k in range(1, 7):
-            for q in (2, 3):
-                words = list(necklaces(k, q))
-                assert words == sorted(set(words))
-                classes = {
-                    min(w[i:] + w[:i] for i in range(k))
-                    for w in itertools.product(range(q), repeat=k)
-                }
-                assert set(words) == classes
+    def test_refuses_words_past_int64(self):
+        # 5^28 > 2^63: the codes would overflow
+        with pytest.raises(ValueError, match="int64"):
+            next(_shift_leaders(28, 5, 1, 4096))

@@ -135,8 +135,8 @@ class TestBaseEnumeration:
         assert reps == expected
 
     def test_double_nega_over_f3_finds_every_class(self):
-        # no necklace lies in the class of this vector (d_Ham 6): a necklace
-        # walk found the other 16 classes only
+        # no least rotation lies in the class of this vector (d_Ham 6): a
+        # candidate rule of least rotations found the other 16 classes only
         reps = enumerate_base_codes(cfg(ring=ChainRing.from_name("z9"), n=28))
         a = (1, 1, 1, 2, 1, 1, 2, 2, 1, 2, 2, 2, 1, 1)
         assert len(reps) == 17 and canonical_form(CodeSpec(ChainRing(3, 1), 2, a)) in reps
